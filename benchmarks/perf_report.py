@@ -15,9 +15,8 @@ routed/direct/single-process parity), and runs the reliability drill
 exactly-once audit of keyed inserts across the kill, admission-control
 shed behaviour under a stalled writer), and measures the HTAP
 delta+main split (solve latency percentiles under a sustained insert
-storm on the lock-free pinned-view path vs an inline reconstruction of
-the old RW-lock shard, insert throughput with a concurrent solve loop,
-and bit-identical parity of delta-visible/post-merge solves against a
+storm on the lock-free pinned-view path, insert throughput with a
+concurrent solve loop, and bit-identical parity of delta-visible/post-merge solves against a
 serialized replay), and measures the standing-query pipeline (notify
 latency from a published view to the subscription ledger position
 covering its watermark, evaluator backlog depth under a batched insert
@@ -100,16 +99,11 @@ sections -- v1 has no ``persistence``/``serving``/``http``/``fleet``/
       },
       "htap": {
         "tuples": int, "inserts": int, "insert_threads": int,
-        "baseline": {"solve_p50_ms": float, "solve_p99_ms": float,
-                      "solves_during_storm": int,
-                      "storm_wall_seconds": float,
-                      "inserts_per_second": float},
         "delta_main": {"solve_p50_ms": float, "solve_p99_ms": float,
                         "solves_during_storm": int,
                         "storm_wall_seconds": float,
                         "inserts_per_second": float,
                         "merge_count": int, "final_epoch": int},
-        "solve_p99_speedup": float,
         "delta_visible_parity": bool, "merged_parity": bool,
         "parity": bool
       },
@@ -142,16 +136,14 @@ log.  ``reliability.solve_p99_ms`` reads against ``solve_p50_ms``: the
 gap is the recovery window solves rode out while the supervisor
 respawned the worker.
 
-``htap.solve_p99_speedup`` is the PR 7 acceptance check: the same
-insert storm + solve loop is driven twice in the same run -- once
-against an inline reconstruction of the old RW-lock shard (solves under
-the shared side of a writer-preferring lock, so they stall behind the
-saturated insert stream) and once against the delta+main
+``htap`` drives an insert storm + solve loop against the delta+main
 :class:`~repro.serving.shards.CorpusShard` (lock-free solves on a
-pinned view) -- and the delta+main solve p99 must improve on the
-baseline's.  ``htap.parity`` requires the shard's delta-visible and
+pinned view).  ``htap.parity`` requires the shard's delta-visible and
 post-merge solves to be bit-identical to a serialized single-threaded
-replay of the same committed insert order.
+replay of the same committed insert order.  ``BENCH_PR7.json`` also
+carries ``htap.baseline`` and ``htap.solve_p99_speedup``: a comparison
+against an inline reconstruction of the RW-lock shard that preceded
+delta+main, kept there as the historical record and no longer re-run.
 
 ``subscriptions.incremental_speedup`` is the PR 10 acceptance check:
 re-solving a registered standing query on the warm serving session
@@ -1052,24 +1044,17 @@ def bench_reliability(quick: bool) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# HTAP: delta+main vs the old RW-lock shard under an insert storm (PR 7)
+# HTAP: delta+main solves under an insert storm
 # ----------------------------------------------------------------------
 def bench_htap(quick: bool) -> Dict:
-    """Solve latency under a sustained insert storm, before vs after.
+    """Solve latency under a sustained insert storm, with replay parity.
 
-    The *same run* drives the same workload -- N writer threads pushing
-    single-action inserts as fast as they are acknowledged, with a solve
-    loop measuring latency the whole time -- through two serving builds:
-
-    * **baseline**: an inline reconstruction of the pre-PR-7 shard --
-      one writer thread applying inserts under the exclusive side of a
-      *writer-preferring* RW lock, solves on the session under its
-      shared side.  While the insert stream stays saturated some writer
-      is always active or waiting, so solves stall (the reader-
-      starvation hazard this PR removes);
-    * **delta_main**: the real :class:`~repro.serving.shards.CorpusShard`
-      -- inserts through the writer queue, fold-per-batch merges, solves
-      lock-free on the pinned published view.
+    N writer threads push single-action inserts into the real
+    :class:`~repro.serving.shards.CorpusShard` as fast as they are
+    acknowledged, while a solve loop measures latency the whole time
+    (lock-free solves on the pinned published view).  ``BENCH_PR7.json``
+    keeps the historical comparison against an inline reconstruction of
+    the RW-lock shard that preceded delta+main.
 
     Parity pins correctness: the shard's post-storm solve (delta folded)
     and a post-ack delta-visible solve must be bit-identical to a fresh
@@ -1078,7 +1063,6 @@ def bench_htap(quick: bool) -> Dict:
     import tempfile
     import threading
     import time as time_module
-    from contextlib import contextmanager
     from pathlib import Path as PathType
 
     from repro.core.enumeration import GroupEnumerationConfig
@@ -1112,44 +1096,6 @@ def bench_htap(quick: bool) -> Dict:
         for i in range(n_inserts)
     ]
     chunks = [payloads[label::n_writers] for label in range(n_writers)]
-
-    class WriterPreferringRWLock:
-        """The pre-PR-7 lock: readers blocked while any writer waits."""
-
-        def __init__(self) -> None:
-            self._condition = threading.Condition()
-            self._readers = 0
-            self._writer_active = False
-            self._waiting_writers = 0
-
-        @contextmanager
-        def read_locked(self):
-            with self._condition:
-                while self._writer_active or self._waiting_writers:
-                    self._condition.wait()
-                self._readers += 1
-            try:
-                yield
-            finally:
-                with self._condition:
-                    self._readers -= 1
-                    if self._readers == 0:
-                        self._condition.notify_all()
-
-        @contextmanager
-        def write_locked(self):
-            with self._condition:
-                self._waiting_writers += 1
-                while self._writer_active or self._readers:
-                    self._condition.wait()
-                self._waiting_writers -= 1
-                self._writer_active = True
-            try:
-                yield
-            finally:
-                with self._condition:
-                    self._writer_active = False
-                    self._condition.notify_all()
 
     def run_storm(apply_chunk, do_solve):
         """Drive the storm; measure solve latency until it completes."""
@@ -1218,34 +1164,6 @@ def bench_htap(quick: bool) -> Dict:
             )
         return replay
 
-    # -- baseline: the old RW-lock shard, reconstructed inline ----------
-    baseline_session = IncrementalTagDM(
-        fresh_dataset(), enumeration=enumeration, seed=seed
-    ).prepare()
-    problem = table1_problem(1, k=3, min_support=baseline_session.default_support())
-    baseline_lock = WriterPreferringRWLock()
-
-    def baseline_apply(chunk) -> None:
-        for action in chunk:
-            with baseline_lock.write_locked():
-                baseline_session.add_actions([action])
-
-    def baseline_solve() -> None:
-        with baseline_lock.read_locked():
-            baseline_session.solve(problem, algorithm="sm-lsh-fo")
-
-    baseline_solve()  # warm the caches outside the measured window
-    baseline_latencies, baseline_wall = run_storm(baseline_apply, baseline_solve)
-    with baseline_lock.read_locked():
-        baseline_final = baseline_session.solve(problem, algorithm="sm-lsh-fo")
-    baseline_parity = result_key(baseline_final) == result_key(
-        serialized_replay(baseline_session.dataset).solve(
-            problem, algorithm="sm-lsh-fo"
-        )
-    )
-    baseline_p50, baseline_p99 = percentiles(baseline_latencies)
-
-    # -- delta+main: the real shard, same workload ----------------------
     with tempfile.TemporaryDirectory() as tmp:
         server = TagDMServer(
             PathType(tmp),
@@ -1254,6 +1172,7 @@ def bench_htap(quick: bool) -> Dict:
             seed=seed,
         )
         shard = server.add_corpus("htap", fresh_dataset())
+        problem = table1_problem(1, k=3, min_support=shard.session.default_support())
 
         def htap_apply(chunk) -> None:
             for action in chunk:
@@ -1300,15 +1219,6 @@ def bench_htap(quick: bool) -> Dict:
         "tuples": initial,
         "inserts": n_inserts,
         "insert_threads": n_writers,
-        "baseline": {
-            "solve_p50_ms": baseline_p50,
-            "solve_p99_ms": baseline_p99,
-            "solves_during_storm": len(baseline_latencies),
-            "storm_wall_seconds": baseline_wall,
-            "inserts_per_second": (
-                n_inserts / baseline_wall if baseline_wall > 0 else float("inf")
-            ),
-        },
         "delta_main": {
             "solve_p50_ms": htap_p50,
             "solve_p99_ms": htap_p99,
@@ -1320,12 +1230,9 @@ def bench_htap(quick: bool) -> Dict:
             "merge_count": int(stats["merge_count"]),
             "final_epoch": int(stats["epoch"]),
         },
-        "solve_p99_speedup": (
-            baseline_p99 / htap_p99 if htap_p99 > 0 else float("inf")
-        ),
         "delta_visible_parity": bool(delta_parity),
         "merged_parity": bool(merged_parity),
-        "parity": bool(baseline_parity and merged_parity and delta_parity),
+        "parity": bool(merged_parity and delta_parity),
     }
 
 
@@ -1765,26 +1672,24 @@ def validate_report(report: Dict) -> None:
             "tuples",
             "inserts",
             "insert_threads",
-            "baseline",
             "delta_main",
-            "solve_p99_speedup",
             "delta_visible_parity",
             "merged_parity",
             "parity",
         ):
             assert field in htap, f"htap missing {field}"
-        for side in ("baseline", "delta_main"):
-            for field in (
-                "solve_p50_ms",
-                "solve_p99_ms",
-                "solves_during_storm",
-                "storm_wall_seconds",
-                "inserts_per_second",
-            ):
-                assert field in htap[side], f"htap.{side} missing {field}"
-            assert htap[side]["solve_p50_ms"] > 0
-            assert htap[side]["inserts_per_second"] > 0
-            assert htap[side]["solves_during_storm"] >= 1
+        delta_main = htap["delta_main"]
+        for field in (
+            "solve_p50_ms",
+            "solve_p99_ms",
+            "solves_during_storm",
+            "storm_wall_seconds",
+            "inserts_per_second",
+        ):
+            assert field in delta_main, f"htap.delta_main missing {field}"
+        assert delta_main["solve_p50_ms"] > 0
+        assert delta_main["inserts_per_second"] > 0
+        assert delta_main["solves_during_storm"] >= 1
         assert htap["delta_main"]["merge_count"] >= 1, "the shard never folded"
         assert (
             htap["delta_main"]["final_epoch"]
@@ -1793,14 +1698,6 @@ def validate_report(report: Dict) -> None:
         assert htap["parity"] is True, "HTAP solves lost parity with serialized replay"
         assert htap["delta_visible_parity"] is True
         assert htap["merged_parity"] is True
-        assert htap["solve_p99_speedup"] > 0
-        if report["mode"] == "full":
-            # The PR 7 acceptance check: under the same insert storm the
-            # lock-free pinned-view solves must beat the RW-lock
-            # baseline's p99 (quick mode is too short to assert timing).
-            assert htap["solve_p99_speedup"] > 1.0, (
-                "delta+main solve p99 did not improve on the RW-lock baseline"
-            )
     if report["schema_version"] >= 8:
         subscriptions = report["subscriptions"]
         for field in (
@@ -1928,11 +1825,8 @@ def main(argv=None) -> int:
     print(
         f"htap: {htap['inserts']} inserts from {htap['insert_threads']} writers; "
         f"solve p50/p99 under the storm "
-        f"{htap['baseline']['solve_p50_ms']:.1f}/{htap['baseline']['solve_p99_ms']:.1f} ms "
-        f"(rw-lock baseline, {htap['baseline']['solves_during_storm']} solves) vs "
         f"{htap['delta_main']['solve_p50_ms']:.1f}/{htap['delta_main']['solve_p99_ms']:.1f} ms "
-        f"(delta+main, {htap['delta_main']['solves_during_storm']} solves) -> "
-        f"p99 {htap['solve_p99_speedup']:.1f}x; "
+        f"({htap['delta_main']['solves_during_storm']} solves); "
         f"{htap['delta_main']['inserts_per_second']:.0f} ins/s with concurrent solves, "
         f"{htap['delta_main']['merge_count']} merges; parity={htap['parity']}"
     )

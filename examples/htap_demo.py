@@ -203,7 +203,7 @@ def main(argv=None) -> int:
         print(f"ERROR: {type(error).__name__}: {error}")
 
     # With TAGDM_LOCK_WITNESS=1 (the CI HTAP job), the storm above
-    # exercised the shard's submit/maintenance/merge/stats locks under
+    # exercised the shard's submit/stats locks and the store lock under
     # real contention; any ordering inversion fails the demo.
     witness_clean = True
     if witness_enabled():

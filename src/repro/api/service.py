@@ -152,8 +152,8 @@ def solve_spec(
     """Validate a solve request and run it on the named warm shard.
 
     The spec is validated (422/409 taxonomy) *before* the shard is
-    touched; the solve itself runs under the shard's shared read lock on
-    the calling thread, optionally bounded by ``timeout`` seconds
+    touched; the solve itself runs lock-free on the shard's pinned
+    published view, on the calling thread, optionally bounded by ``timeout`` seconds
     (:class:`~repro.api.errors.SolveTimeoutError` on expiry).
     """
     spec = coerce_spec(request)

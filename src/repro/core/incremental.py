@@ -42,7 +42,7 @@ from repro.core.groups import GroupDescription, TaggingActionGroup
 from repro.core.problem import TagDMProblem
 from repro.core.result import MiningResult
 from repro.core.sanitizer import freeze_array, owned_by, seal_view
-from repro.core.witness import locked_by, named_lock
+from repro.core.witness import named_lock
 from repro.dataset.store import ITEM_PREFIX, USER_PREFIX, TaggingDataset
 
 __all__ = ["IncrementalTagDM", "IncrementalUpdateReport", "SessionView"]
@@ -269,6 +269,11 @@ class IncrementalUpdateReport:
 class IncrementalTagDM:
     """A TagDM session that absorbs new tagging actions in place.
 
+    The mutators (:meth:`add_action`, :meth:`add_actions`,
+    :meth:`refresh_topic_model`) take no lock: one thread at a time may
+    call them -- in serving, the shard's writer thread, which also does
+    every :meth:`freeze`.
+
     Parameters
     ----------
     dataset:
@@ -427,8 +432,8 @@ class IncrementalTagDM:
         """Freeze the current session state into an immutable solve view.
 
         The caller must ensure no insert is concurrently mutating the
-        session (the serving shard freezes from its merge path, which is
-        excluded from the writer by the merge lock).  The returned
+        session (the serving shard freezes on its writer thread, between
+        batches).  The returned
         :class:`SessionView` stays valid forever: later inserts replace
         group-list entries and cache pointers on the live session without
         touching the objects the view captured.
@@ -486,7 +491,6 @@ class IncrementalTagDM:
         group.signature = self.session.signature_builder.signature(group)
         return group
 
-    @locked_by("shard.merge")
     def _touch_group(self, description: GroupDescription, row: int, report: IncrementalUpdateReport) -> None:
         position = self._group_index.get(description)
         if position is not None:
@@ -528,7 +532,6 @@ class IncrementalTagDM:
             for listener in self._mutation_listeners:
                 listener(report)
 
-    @locked_by("shard.merge")
     def _invalidate_derived_state(self) -> None:
         """Drop every cache a changed signature poisons.
 
@@ -540,7 +543,6 @@ class IncrementalTagDM:
         self.session.invalidate_caches()
         self.session._signatures = None
 
-    @locked_by("shard.merge")
     def _insert_one(
         self,
         user_id: str,
@@ -611,7 +613,6 @@ class IncrementalTagDM:
         report.pending_descriptions = len(self._pending)
         return report
 
-    @locked_by("shard.merge")
     def add_action(
         self,
         user_id: str,
@@ -633,7 +634,6 @@ class IncrementalTagDM:
         self._notify_mutation(report)
         return report
 
-    @locked_by("shard.merge")
     def add_actions(
         self,
         actions: Iterable[Mapping[str, object]],
@@ -701,7 +701,6 @@ class IncrementalTagDM:
     # ------------------------------------------------------------------
     # Consistency helpers
     # ------------------------------------------------------------------
-    @locked_by("shard.merge")
     def refresh_topic_model(self) -> None:
         """Refit the topic model and recompute every group signature.
 

@@ -65,7 +65,7 @@ def _raiser(operation: str) -> Callable:
         raise PublicationViolation(
             f"{operation}() on a container frozen at view publication -- "
             "published SessionView state is immutable; mutate the live "
-            "session under the shard's merge lock and publish a new epoch "
+            "session on the shard's writer thread and publish a new epoch "
             "instead"
         )
 

@@ -4,8 +4,7 @@ The serving stack's deadlock freedom rests on one global acquisition
 order (documented in TOOLING.md and statically checked by
 ``tools/analyze``).  This module is the *runtime* half of that contract:
 every lock in the concurrency-bearing layers is constructed through
-:func:`named_lock` / :func:`named_rlock` (or, for the shard's ticket
-lock, carries a ``name``), and when the ``TAGDM_LOCK_WITNESS``
+:func:`named_lock` / :func:`named_rlock`, and when the ``TAGDM_LOCK_WITNESS``
 environment variable is set the factories return thin wrapper objects
 that report every acquisition to a process-wide
 :class:`LockOrderWitness`.
@@ -59,8 +58,6 @@ LOCK_HIERARCHY: Tuple[str, ...] = (
     "fleet.registry",  # TagDMFleet._lock: worker handle state
     "server.registry",  # TagDMServer._registry_lock: corpus registry
     "shard.submit",  # CorpusShard._submit_lock: closed-check + enqueue
-    "shard.maintenance",  # CorpusShard._maintenance_lock: fold/rotate
-    "shard.merge",  # CorpusShard._lock: ticket RW lock (delta apply / fold)
     "shard.stats",  # CorpusShard._stats_lock: counters, view, epoch pins
     "subs.state",  # SubscriptionEvaluator._lock: pending view + counters
     "store.lock",  # SqliteTaggingStore._lock: connection serialisation
@@ -335,7 +332,7 @@ def named_rlock(name: str) -> "threading.RLock":
 def locked_by(*names: str) -> Callable:
     """Declare the lock context a callable runs under (static metadata).
 
-    ``@locked_by("shard.merge")`` marks a method as a *writer context*:
+    ``@locked_by("store.lock")`` marks a method as a *writer context*:
     in the concurrent serving stack it must only run while the named
     lock is held (or from a call site annotated
     ``# analyze: writer-context``).  The decorator attaches the names as

@@ -11,9 +11,9 @@ mixed insert/query traffic, in three layers:
   :class:`~repro.core.incremental.SessionView` (the main), and a merge
   path -- governed by :class:`MergePolicy` -- that folds delta into a
   freshly published view and rotates snapshots per
-  :class:`SnapshotRotationPolicy`/:class:`SnapshotRotator`.  The fair
-  :class:`ReadWriteLock` coordinates only the merge path (writer apply
-  vs fold/snapshot).  See ``SERVING.md``.
+  :class:`SnapshotRotationPolicy`/:class:`SnapshotRotator`.  The
+  shard's writer thread runs the merge path too, so it is the only
+  thread that ever touches the live session.  See ``SERVING.md``.
 * **Network front-end** -- :class:`TagDMHttpServer`, an HTTP server
   speaking the wire-native API of :mod:`repro.api` (problem specs in,
   serialised -- optionally paginated or NDJSON-streamed -- results out,
@@ -47,7 +47,7 @@ from repro.serving.reliability import (
     RetryBudget,
 )
 from repro.serving.server import TagDMServer
-from repro.serving.shards import CorpusShard, ReadWriteLock
+from repro.serving.shards import CorpusShard
 from repro.serving.http import TagDMHttpServer
 from repro.serving.router import PlacementTable, TagDMRouter
 from repro.serving.fleet import FleetWorker, TagDMFleet
@@ -60,7 +60,6 @@ __all__ = [
     "PlacementTable",
     "FleetWorker",
     "CorpusShard",
-    "ReadWriteLock",
     "SessionView",
     "MergePolicy",
     "SnapshotRotationPolicy",

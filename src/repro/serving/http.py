@@ -32,7 +32,8 @@ Failures answer with the typed taxonomy of :mod:`repro.api.errors`
 (validation 422, unknown corpus/route 404, capability mismatch 409,
 timeout 504) as ``{"error": {code, status, message, details}}`` bodies.
 Threading model: every request runs on its own handler thread; solves
-take the shard's shared read lock (many concurrent solves), inserts
+read the shard's pinned published view with no lock (many concurrent
+solves), inserts
 enqueue onto the shard's single-writer queue and block until applied --
 exactly the semantics in-process callers get.
 """

@@ -52,8 +52,9 @@ class MergePolicy:
         trigger, :meth:`~repro.serving.shards.CorpusShard.merge_now`,
         :meth:`~repro.serving.shards.CorpusShard.flush` or close.
     every_seconds:
-        Background fold once the oldest unmerged insert is this old
-        (``None`` disables the time trigger).
+        Fold once the oldest unmerged insert is this old, checked after
+        every writer batch and on the writer's idle ticks (``None``
+        disables the time trigger).
     """
 
     every_inserts: Optional[int] = 1
@@ -72,7 +73,7 @@ class MergePolicy:
         return self.every_inserts is not None and delta_size >= self.every_inserts
 
     def due_on_timer(self, delta_size: int, delta_age_seconds: float) -> bool:
-        """Whether the background merge thread should fold now."""
+        """Whether the writer's timer tick should fold now."""
         if delta_size <= 0:
             return False
         return (
@@ -136,8 +137,8 @@ class SnapshotRotator:
     comparison and needs no mtime trust.
 
     Not itself thread-safe: a rotator belongs to exactly one shard,
-    whose writer thread calls :meth:`record_inserts`/:meth:`due`/
-    :meth:`rotate` under the shard's write lock.  :meth:`rotate` blocks
+    whose writer thread is the only caller of :meth:`record_inserts`/
+    :meth:`due`/:meth:`rotate`.  :meth:`rotate` blocks
     for the full snapshot serialisation, fsync and prune.
     """
 

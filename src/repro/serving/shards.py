@@ -7,28 +7,29 @@ and serves it with an HTAP-style **delta + main** split:
 
 * **inserts** go through a thread-safe request queue drained by one
   dedicated writer thread per shard.  The writer coalesces whatever is
-  queued into one exclusive hold of the merge lock, applies each request
-  with the batch insert API (one cache invalidation per request, not per
-  action) -- this is the *delta*: immediately visible to subsequent
-  updates, durable in the store, but not yet served to solves;
+  queued and applies each request with the batch insert API (one cache
+  invalidation per request, not per action) -- this is the *delta*:
+  immediately visible to subsequent updates, durable in the store, but
+  not yet served to solves;
 * a **fold** freezes the session into an immutable
   :class:`~repro.core.incremental.SessionView` (the *main*) and
   publishes it under a new epoch.  The shard's
   :class:`~repro.serving.policy.MergePolicy` decides when: by default
   after every writer batch (before the batch's futures resolve, so an
   acknowledged insert is visible to the very next solve), optionally on
-  a time trigger served by a background merge thread;
+  a time trigger the writer checks whenever its queue wait times out;
 * **solves** run on the calling threads against a *pinned* published
   view (epoch + refcount) and take **no lock at all**: a solve can never
   stall behind the writer, and a long solve can never stall the ingest
   path -- it just keeps its pinned epoch alive while newer views are
   published around it.
 
-The :class:`ReadWriteLock` survives only on the merge path: the writer
-applies batches under its exclusive side and folds/snapshots read the
-session under its shared side.  It is *fair* (arrival-ordered), so a
-fold can never be starved by a saturated insert queue -- the hazard the
-old writer-preferring lock had.
+The writer thread is the only thread that ever touches the live
+session: it applies batches, folds, rotates snapshots and runs the
+final fold/snapshot on :meth:`CorpusShard.close`, one step at a time
+in queue order.  Two steps on one thread cannot overlap, so the merge
+path needs no lock; :meth:`CorpusShard.merge_now` rides the queue like
+an insert and waits only for the entries queued before it.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from contextlib import contextmanager
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.api.errors import OverloadedError
 from repro.core.incremental import (
@@ -46,91 +46,13 @@ from repro.core.incremental import (
     IncrementalUpdateReport,
     SessionView,
 )
-from repro.core.witness import get_witness, named_lock, named_rlock, witness_enabled
+from repro.core.witness import named_lock
 from repro.core.problem import TagDMProblem
 from repro.core.result import MiningResult
 from repro.serving.policy import MergePolicy, SnapshotRotator
 from repro.serving.reliability import AdmissionPolicy, FaultPlan
 
-__all__ = ["CorpusShard", "ReadWriteLock"]
-
-
-class ReadWriteLock:
-    """A fair (arrival-ordered) readers/writer lock.
-
-    Many readers may hold the lock at once; a writer holds it alone.
-    Waiters are admitted in arrival order: a reader arriving after a
-    waiting writer lets that writer go first, but writers that keep
-    arriving queue up *behind* an already-waiting reader, so its wait is
-    bounded by the writers ahead of it at arrival time.  (The
-    writer-preferring variant this replaces blocked readers while *any*
-    writer was waiting, which starved readers indefinitely whenever the
-    writer stream stayed saturated.)
-
-    ``name`` is the lock's handle in the runtime lock-order witness
-    (:mod:`repro.core.witness`); both the shared and the exclusive side
-    report under it when ``TAGDM_LOCK_WITNESS`` is set.
-    """
-
-    def __init__(self, name: Optional[str] = None) -> None:
-        self._condition = threading.Condition()
-        self._next_ticket = 0
-        self._readers = 0
-        self._writer_active = False
-        # Tickets of waiting writers; appended in arrival order, so the
-        # list is always sorted and index 0 is the oldest waiter.
-        self._waiting_writers: List[int] = []
-        self._witness = get_witness() if (name and witness_enabled()) else None
-        self.name = name
-
-    @contextmanager
-    def read_locked(self):
-        with self._condition:
-            ticket = self._next_ticket
-            self._next_ticket += 1
-            while self._writer_active or (
-                self._waiting_writers and self._waiting_writers[0] < ticket
-            ):
-                self._condition.wait()
-            self._readers += 1
-        if self._witness is not None:
-            self._witness.note_acquire(self.name)
-        try:
-            yield
-        finally:
-            if self._witness is not None:
-                self._witness.note_release(self.name)
-            with self._condition:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._condition.notify_all()
-
-    @contextmanager
-    def write_locked(self):
-        with self._condition:
-            ticket = self._next_ticket
-            self._next_ticket += 1
-            self._waiting_writers.append(ticket)
-            try:
-                while (
-                    self._writer_active
-                    or self._readers
-                    or self._waiting_writers[0] != ticket
-                ):
-                    self._condition.wait()
-            finally:
-                self._waiting_writers.remove(ticket)
-            self._writer_active = True
-        if self._witness is not None:
-            self._witness.note_acquire(self.name)
-        try:
-            yield
-        finally:
-            if self._witness is not None:
-                self._witness.note_release(self.name)
-            with self._condition:
-                self._writer_active = False
-                self._condition.notify_all()
+__all__ = ["CorpusShard"]
 
 
 class _InsertRequest:
@@ -148,7 +70,22 @@ class _InsertRequest:
         self.future: "Future[IncrementalUpdateReport]" = Future()
 
 
-_SHUTDOWN = object()
+class _MergeRequest:
+    """One queued fold request and the future its caller waits on."""
+
+    __slots__ = ("future",)
+
+    def __init__(self) -> None:
+        self.future: "Future[int]" = Future()
+
+
+class _Shutdown:
+    """The close sentinel: the last entry the writer thread takes."""
+
+    __slots__ = ("final_snapshot",)
+
+    def __init__(self, final_snapshot: bool) -> None:
+        self.final_snapshot = final_snapshot
 
 
 class CorpusShard:
@@ -232,18 +169,13 @@ class CorpusShard:
         self.evaluator = evaluator
         self.start_mode = start_mode
         self.replayed_actions = int(replayed_actions)
-        # Merge-path coordination only: the writer applies batches under
-        # the exclusive side; folds and snapshots read the session under
-        # the shared side.  Solves never touch this lock.
-        self._lock = ReadWriteLock(name="shard.merge")
-        # Serialises fold/rotate maintenance between the writer thread
-        # and the background merge thread.
-        self._maintenance_lock = named_rlock("shard.maintenance")
+        # Inserts, fold requests and the close sentinel, in arrival
+        # order; the writer thread is the only consumer.
         self._queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_capacity)
         self._closed = threading.Event()
-        # Makes the closed-check + enqueue in submit_insert atomic with
-        # respect to close(), so no request can slip into a queue the
-        # writer has already left.
+        # Makes the closed-check + enqueue in submit_insert and
+        # merge_now atomic with respect to close(), so no request can
+        # slip into a queue the writer has already left.
         self._submit_lock = named_lock("shard.submit")
         # Guards every mutable serving counter, the delta-age clock,
         # the published view and its pins; stats() snapshots them all
@@ -274,12 +206,6 @@ class CorpusShard:
             target=self._writer_loop, name=f"tagdm-shard-{name}", daemon=True
         )
         self._writer.start()
-        self._merge_stop = threading.Event()
-        self._merge_wakeup = threading.Event()
-        self._merger = threading.Thread(
-            target=self._merge_loop, name=f"tagdm-merge-{name}", daemon=True
-        )
-        self._merger.start()
 
     # ------------------------------------------------------------------
     # Client API
@@ -402,24 +328,32 @@ class CorpusShard:
         """Block until every insert queued so far is applied *and* folded.
 
         With a lazy merge policy this also publishes a fresh view, so a
-        flush-then-solve always observes everything flushed.
+        flush-then-solve always observes everything flushed.  The queue
+        is FIFO, so this is exactly :meth:`merge_now`.
         """
-        self._queue.join()
         self.merge_now()
 
     def merge_now(self) -> int:
         """Fold the delta into a fresh main view immediately.
 
-        Returns the epoch of the published view (the current one when
-        the delta was already empty).  Raises whatever the fold raised
-        (e.g. an injected :class:`~repro.serving.reliability.InjectedFault`)
-        after recording it in :meth:`stats`.
+        The fold request rides the writer queue: it waits for the
+        entries queued before it (and the snapshot rotation they make
+        due), never for those queued after.  Returns the epoch of the
+        published view (the current one when the delta was already
+        empty).  Raises whatever the fold raised (e.g. an injected
+        :class:`~repro.serving.reliability.InjectedFault`) after
+        recording it in :meth:`stats`.  On a closed shard it waits for
+        the writer's final fold and returns the last published epoch.
         """
-        with self._maintenance_lock:
-            if self.delta_size > 0:
-                self._fold()
-            with self._stats_lock:
-                return self._view.epoch
+        request = _MergeRequest()
+        with self._submit_lock:
+            closed = self._closed.is_set()
+            if not closed:
+                self._queue.put(request)
+        if closed:
+            self._writer.join()
+            return self.current_view().epoch
+        return request.future.result()
 
     @property
     def delta_size(self) -> int:
@@ -530,7 +464,7 @@ class CorpusShard:
         return stats
 
     # ------------------------------------------------------------------
-    # Writer thread (the delta)
+    # Writer thread: the only thread that touches the live session
     # ------------------------------------------------------------------
     def _drain(self, first: object) -> List[object]:
         batch = [first]
@@ -541,73 +475,104 @@ class CorpusShard:
                 return batch
 
     def _writer_loop(self) -> None:
+        """Apply, fold, acknowledge, rotate: one step per batch or tick.
+
+        The queue wait times out every ``poll`` seconds, so an idle
+        shard still serves the time triggers of its merge and rotation
+        policies.
+        """
+        poll = 0.25
+        if self.merge_policy.every_seconds is not None:
+            poll = min(poll, max(self.merge_policy.every_seconds / 4.0, 0.01))
         while True:
-            item = self._queue.get()
-            batch = self._drain(item)
-            requests = [entry for entry in batch if isinstance(entry, _InsertRequest)]
-            shutdown = any(entry is _SHUTDOWN for entry in batch)
-            if requests:
-                outcomes = []
-                with self._lock.write_locked():
-                    for request in requests:
-                        try:
-                            if self.fault_plan is not None:
-                                self.fault_plan.fire(
-                                    "shard.apply",
-                                    corpus=self.name,
-                                    n_actions=self.session.dataset.n_actions,
-                                )
-                            report = self.session.add_actions(
-                                request.actions, request_id=request.request_id
-                            )
-                        except BaseException as exc:
-                            outcomes.append((request, None, exc))
+            try:
+                batch = self._drain(self._queue.get(timeout=poll))
+            except queue.Empty:
+                batch = []
+            inserts = [entry for entry in batch if isinstance(entry, _InsertRequest)]
+            merges = [entry for entry in batch if isinstance(entry, _MergeRequest)]
+            outcomes = []
+            for request in inserts:
+                try:
+                    if self.fault_plan is not None:
+                        self.fault_plan.fire(
+                            "shard.apply",
+                            corpus=self.name,
+                            n_actions=self.session.dataset.n_actions,
+                        )
+                    # analyze: writer-context -- this thread is the only
+                    # one that ever touches the shard's session.
+                    report = self.session.add_actions(
+                        request.actions, request_id=request.request_id
+                    )
+                except BaseException as exc:
+                    outcomes.append((request, None, exc))
+                else:
+                    with self._stats_lock:
+                        if report.deduplicated:
+                            self._dedup_hits += 1
                         else:
-                            with self._stats_lock:
-                                if report.deduplicated:
-                                    self._dedup_hits += 1
-                                else:
-                                    self._inserts_served += report.actions_added
-                                    if (
-                                        report.actions_added
-                                        and self._first_delta_at is None
-                                    ):
-                                        self._first_delta_at = time.monotonic()
-                            outcomes.append((request, report, None))
-                # Fold delta -> main *before* acknowledging, so a solve
-                # issued after an ack sees the batch (default policy).  A
-                # failed fold must not fail the inserts -- they are
-                # durably applied; the error is recorded and the next
-                # fold picks the delta up.
-                with self._maintenance_lock:
-                    if self.merge_policy.due_on_write(self.delta_size):
-                        try:
-                            self._fold()
-                        except BaseException:
-                            pass  # recorded by _fold; serving continues
-                for request, report, exc in outcomes:
-                    if exc is not None:
-                        request.future.set_exception(exc)
-                    else:
-                        request.future.set_result(report)
-                with self._maintenance_lock:
-                    self._maybe_rotate(force=False)
-            for _ in batch:
-                self._queue.task_done()
-            if shutdown:
+                            self._inserts_served += report.actions_added
+                            if report.actions_added and self._first_delta_at is None:
+                                self._first_delta_at = time.monotonic()
+                    outcomes.append((request, report, None))
+            # Fold delta -> main *before* acknowledging, so a solve issued
+            # after an ack sees the batch (default policy).  A failed fold
+            # must not fail the inserts -- they are durably applied; the
+            # error is recorded and the next fold picks the delta up.
+            fold_error: Optional[BaseException] = None
+            if self._fold_due(after_inserts=bool(inserts), requested=bool(merges)):
+                try:
+                    self._fold()
+                except BaseException as exc:
+                    fold_error = exc  # recorded by _fold; serving continues
+            for request, report, exc in outcomes:
+                if exc is not None:
+                    request.future.set_exception(exc)
+                else:
+                    request.future.set_result(report)
+            if inserts or not batch:
+                # Inserts and the idle tick make a rotation due (or retry
+                # a failed one); a fold request alone changes neither.
+                self._maybe_rotate(force=False)
+            for request in merges:
+                if fold_error is not None:
+                    request.future.set_exception(fold_error)
+                else:
+                    request.future.set_result(self.current_view().epoch)
+            shutdown = next((entry for entry in batch if isinstance(entry, _Shutdown)), None)
+            if shutdown is not None:
+                if self.delta_size > 0:
+                    try:
+                        self._fold()
+                    except BaseException:
+                        pass  # recorded; the store has everything anyway
+                if shutdown.final_snapshot:
+                    self._maybe_rotate(force=True)
                 return
 
     # ------------------------------------------------------------------
-    # Merge path (delta -> main)
+    # Merge path (delta -> main), run by the writer thread
     # ------------------------------------------------------------------
+    def _fold_due(self, after_inserts: bool, requested: bool) -> bool:
+        """Whether this writer step folds: on request, or per policy."""
+        delta = self.delta_size
+        if delta <= 0:
+            return False
+        policy = self.merge_policy
+        if requested or (after_inserts and policy.due_on_write(delta)):
+            return True
+        with self._stats_lock:
+            first_delta_at = self._first_delta_at
+        age = 0.0 if first_delta_at is None else time.monotonic() - first_delta_at
+        return policy.due_on_timer(delta, age)
+
     def _fold(self) -> None:
         """Freeze the session into a new main view and publish it.
 
-        Callers hold ``_maintenance_lock``.  The freeze runs under the
-        shared side of the merge lock, excluding the writer, so the view
-        captures whole batches only; publication happens inside the same
-        hold, so the published view's ``n_actions`` always equals the
-        session's at that instant (the delta drops to zero).
+        Runs on the writer thread, between batches, so the view captures
+        whole batches only and the published view's ``n_actions`` equals
+        the session's at publication (the delta drops to zero).
         """
         try:
             if self.fault_plan is not None:
@@ -616,14 +581,13 @@ class CorpusShard:
                     corpus=self.name,
                     n_actions=self.session.dataset.n_actions,
                 )
-            with self._lock.read_locked():
-                view = self.session.freeze(epoch=self._next_epoch)
-                with self._stats_lock:
-                    self._view = view
-                    self._next_epoch += 1
-                    self._merge_count += 1
-                    self._last_merge_error = None
-                    self._first_delta_at = None
+            view = self.session.freeze(epoch=self._next_epoch)
+            with self._stats_lock:
+                self._view = view
+                self._next_epoch += 1
+                self._merge_count += 1
+                self._last_merge_error = None
+                self._first_delta_at = None
             if self.fault_plan is not None:
                 self.fault_plan.fire(
                     "merge.post_fold",
@@ -638,40 +602,13 @@ class CorpusShard:
                 self._last_merge_error = f"{type(exc).__name__}: {exc}"
             raise
 
-    def _merge_loop(self) -> None:
-        """Background merge thread: time-triggered folds and rotations."""
-        policy = self.merge_policy
-        poll = 0.25
-        if policy.every_seconds is not None:
-            poll = min(poll, max(policy.every_seconds / 4.0, 0.01))
-        while not self._merge_stop.is_set():
-            self._merge_wakeup.wait(timeout=poll)
-            self._merge_wakeup.clear()
-            if self._merge_stop.is_set():
-                return
-            with self._stats_lock:
-                first_delta_at = self._first_delta_at
-            age = 0.0
-            if first_delta_at is not None:
-                age = time.monotonic() - first_delta_at
-            if policy.due_on_timer(self.delta_size, age):
-                with self._maintenance_lock:
-                    try:
-                        self._fold()
-                    except BaseException:
-                        pass  # recorded by _fold; retried next tick
-            if self.rotator is not None and self.rotator.due():
-                with self._maintenance_lock:
-                    self._maybe_rotate(force=False)
-
     def _maybe_rotate(self, force: bool) -> None:
         """Snapshot the session when due (or forced).
 
-        Runs under ``_maintenance_lock``; the serialisation itself takes
-        the shared side of the merge lock so the writer cannot mutate
-        the session mid-pickle.  A failed snapshot must not take the
-        shard down: the error is recorded for :meth:`stats` and serving
-        continues; the next due rotation retries.
+        Runs on the writer thread, so no insert can mutate the session
+        mid-pickle.  A failed snapshot must not take the shard down: the
+        error is recorded for :meth:`stats` and serving continues; the
+        next due rotation retries.
         """
         rotator = self.rotator
         if rotator is None:
@@ -681,8 +618,7 @@ class CorpusShard:
         if force and rotator.inserts_since_rotation <= 0:
             return  # the latest snapshot already covers the session
         try:
-            with self._lock.read_locked():
-                rotator.rotate(self.session.session)
+            rotator.rotate(self.session.session)
             with self._stats_lock:
                 self._last_rotation_error = None
         except Exception as exc:
@@ -693,23 +629,21 @@ class CorpusShard:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self, final_snapshot: bool = True) -> None:
-        """Drain the queue, fold, optionally snapshot, and stop the threads.
+        """Drain the queue, fold, optionally snapshot, and stop the writer.
 
         Idempotent.  Requests submitted after ``close`` raise
         ``RuntimeError``; requests queued before it are applied first
-        (the shutdown sentinel sits behind them in the FIFO).  The
-        attached store (if any) is *not* closed here -- its owner (the
-        server) closes it after every shard is down.
+        (the shutdown sentinel sits behind them in the FIFO, and the
+        writer runs the final fold and snapshot when it reaches it).
+        The attached store (if any) is *not* closed here -- its owner
+        (the server) closes it after every shard is down.
         """
         with self._submit_lock:
             if self._closed.is_set():
                 return
             self._closed.set()
-            self._queue.put(_SHUTDOWN)
+            self._queue.put(_Shutdown(final_snapshot))
         self._writer.join()
-        self._merge_stop.set()
-        self._merge_wakeup.set()
-        self._merger.join()
         # Belt and braces: _submit_lock makes the closed-check + enqueue
         # atomic, so nothing should be queued behind the sentinel -- but a
         # leftover request must fail loudly rather than hang its caller.
@@ -718,16 +652,7 @@ class CorpusShard:
                 entry = self._queue.get_nowait()
             except queue.Empty:
                 break
-            if isinstance(entry, _InsertRequest):
+            if isinstance(entry, (_InsertRequest, _MergeRequest)):
                 entry.future.set_exception(
                     RuntimeError(f"shard {self.name!r} is closed")
                 )
-            self._queue.task_done()
-        with self._maintenance_lock:
-            if self.delta_size > 0:
-                try:
-                    self._fold()
-                except BaseException:
-                    pass  # recorded; the store has everything anyway
-            if final_snapshot:
-                self._maybe_rotate(force=True)

@@ -1,7 +1,8 @@
 """Tests for the delta+main (HTAP) serving split.
 
-Covers the fair merge lock (bounded reader wait under writer
-saturation), consistent stats snapshots, epoch pinning, snapshot
+Covers writer-thread ownership of the session (one thread per shard
+that also serves the fold/rotation timers and queued fold requests),
+consistent stats snapshots, epoch pinning, snapshot
 visibility semantics -- an insert acknowledged via the delta appears in
 the next merged view exactly once, including across merge crashes
 injected at the ``merge.pre_fold`` / ``merge.post_fold`` fault points --
@@ -27,7 +28,7 @@ from repro.serving import (
     SnapshotRotationPolicy,
     TagDMServer,
 )
-from repro.serving.shards import ReadWriteLock
+from repro.serving.shards import CorpusShard
 
 ENUMERATION = GroupEnumerationConfig(min_support=5)
 SEED = 17
@@ -83,105 +84,90 @@ def rows_tagged(dataset, tag: str):
     ]
 
 
-class TestReadWriteLockFairness:
-    def test_reader_wait_bounded_under_writer_saturation(self):
-        """Two writer threads re-acquiring in a tight loop must not starve
-        a reader: with the old writer-preferring lock some writer was
-        always waiting so the reader never entered; the fair lock admits
-        it once the writers that arrived before it are done."""
-        lock = ReadWriteLock()
-        stop = threading.Event()
-        acquired = threading.Event()
+class TestWriterThread:
+    """The shard's writer thread is the only thread that touches its
+    session: it applies batches, serves both timer triggers and runs
+    merge_now()'s fold in queue order."""
 
-        def writer():
-            while not stop.is_set():
-                with lock.write_locked():
-                    time.sleep(0.002)
+    def test_shard_starts_exactly_one_thread(self):
+        session = IncrementalTagDM(
+            make_dataset(), enumeration=ENUMERATION, signature_backend="frequency", seed=3
+        ).prepare()
+        before = set(threading.enumerate())
+        shard = CorpusShard("solo", session)
+        # The shard names its threads after itself; filtering on that
+        # keeps unrelated background threads out of the count.
+        started = [
+            thread
+            for thread in set(threading.enumerate()) - before
+            if thread.name.endswith("-solo")
+        ]
+        assert [thread.name for thread in started] == ["tagdm-shard-solo"]
+        shard.insert_batch(actions_for(shard.session.dataset, "solo", 2))
+        epoch = shard.current_view().epoch
+        shard.close(final_snapshot=False)
+        assert not any(thread.is_alive() for thread in started)
+        # A closed shard has nothing left to fold: the last epoch stands.
+        assert shard.merge_now() == epoch
 
-        writers = [threading.Thread(target=writer, daemon=True) for _ in range(2)]
-        for thread in writers:
-            thread.start()
-        time.sleep(0.1)  # let the writer stream saturate
+    def test_timers_fold_and_rotate_an_idle_shard(self, tmp_path):
+        """With both insert triggers off, only the writer's idle ticks
+        can fold the delta and rotate the snapshot -- no merge_now()."""
+        dataset = make_dataset()
+        server = TagDMServer(
+            tmp_path,
+            policy=SnapshotRotationPolicy(every_inserts=None, every_seconds=0.05),
+            merge_policy=MergePolicy(every_inserts=None, every_seconds=0.05),
+            enumeration=ENUMERATION,
+            signature_backend="frequency",
+            seed=3,
+        )
+        shard = server.add_corpus("movies", dataset)
+        base = shard.stats()
+        base_actions = shard.current_view().n_actions
+        shard.insert_batch(actions_for(dataset, "timer", 1))
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            stats = shard.stats()
+            if (
+                stats["delta_size"] == 0
+                and stats["snapshots_written"] > base["snapshots_written"]
+            ):
+                break
+            time.sleep(0.02)
+        assert stats["delta_size"] == 0
+        assert stats["merge_count"] == 1
+        assert stats["epoch"] == base["epoch"] + 1
+        assert stats["snapshots_written"] == base["snapshots_written"] + 1
+        assert stats["last_rotation_error"] is None
+        assert shard.current_view().n_actions == base_actions + 1
+        server.close()
 
-        def reader():
-            with lock.read_locked():
-                acquired.set()
+    def test_merge_now_waits_for_a_sleeping_apply(self, tmp_path):
+        """A fold requested while the writer sleeps inside an apply queues
+        behind that batch, so the epoch it returns contains it."""
+        dataset = make_dataset()
+        plan = FaultPlan(
+            [FaultRule("shard.apply", "sleep", at=1, sleep_seconds=1.0)]
+        )
+        server = make_server(
+            tmp_path,
+            merge_policy=MergePolicy(every_inserts=None),
+            fault_plan=plan,
+        )
+        shard = server.add_corpus("movies", dataset)
+        base_actions = shard.current_view().n_actions
 
-        thread = threading.Thread(target=reader, daemon=True)
-        thread.start()
-        try:
-            assert acquired.wait(timeout=5.0), "reader starved by writer stream"
-        finally:
-            stop.set()
-            for t in writers:
-                t.join()
-            thread.join()
-
-    def test_writers_remain_mutually_exclusive(self):
-        """Fairness must not cost correctness: read-modify-write under the
-        write lock stays atomic across competing writers."""
-        lock = ReadWriteLock()
-        counter = {"value": 0}
-
-        def bump():
-            for _ in range(200):
-                with lock.write_locked():
-                    current = counter["value"]
-                    counter["value"] = current + 1
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert counter["value"] == 800
-
-    def test_readers_share_the_lock(self):
-        lock = ReadWriteLock()
-        inside = threading.Barrier(3, timeout=5.0)
-
-        def reader():
-            with lock.read_locked():
-                inside.wait()  # requires all three readers inside at once
-
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-    def test_reader_arriving_after_waiting_writer_lets_it_go_first(self):
-        """Arrival order is respected: a reader that shows up while a
-        writer is already waiting does not overtake it."""
-        lock = ReadWriteLock()
-        order = []
-        release_first_reader = threading.Event()
-
-        def first_reader():
-            with lock.read_locked():
-                release_first_reader.wait(timeout=5.0)
-
-        def writer():
-            with lock.write_locked():
-                order.append("writer")
-
-        def second_reader():
-            with lock.read_locked():
-                order.append("reader")
-
-        r1 = threading.Thread(target=first_reader)
-        r1.start()
-        time.sleep(0.05)
-        w = threading.Thread(target=writer)
-        w.start()
-        time.sleep(0.05)  # the writer is now waiting behind r1
-        r2 = threading.Thread(target=second_reader)
-        r2.start()
-        time.sleep(0.05)
-        release_first_reader.set()
-        for thread in (r1, w, r2):
-            thread.join(timeout=5.0)
-        assert order == ["writer", "reader"]
+        future = shard.submit_insert(actions_for(dataset, "asleep", 2))
+        time.sleep(0.1)  # the writer is now asleep inside the apply
+        epoch = shard.merge_now()
+        assert future.done()
+        view = shard.current_view()
+        assert view.epoch == epoch
+        assert view.n_actions == base_actions + 2
+        assert len(rows_tagged(shard.session.dataset, "tag-asleep-1")) == 1
+        assert [entry[0] for entry in plan.fired] == ["shard.apply"]
+        server.close()
 
 
 class TestSnapshotVisibility:

@@ -35,6 +35,7 @@ from tools.analyze.hierarchy import LOCK_DECLS, LOCK_ORDER  # noqa: E402
 from tools.analyze.ownership import OWNERSHIP_DECLS, OwnershipDecl  # noqa: E402
 
 SHARDS = "src/repro/serving/shards.py"  # a module with declared locks
+FLEET = "src/repro/serving/fleet.py"  # TagDMFleet._lock is a declared rlock
 
 
 def codes(findings):
@@ -226,13 +227,13 @@ class TestHierarchy:
 
     def test_self_nesting_of_rlock_accepted(self):
         src = (
-            "class CorpusShard:\n"
+            "class TagDMFleet:\n"
             "    def f(self):\n"
-            "        with self._maintenance_lock:\n"
-            "            with self._maintenance_lock:\n"
+            "        with self._lock:\n"
+            "            with self._lock:\n"
             "                pass\n"
         )
-        assert order.check_file(SHARDS, src) == []
+        assert order.check_file(FLEET, src) == []
 
     def test_nested_def_resets_held_stack(self):
         src = (
@@ -356,6 +357,8 @@ class TestContracts:
 
 class TestWriters:
     def test_unannotated_mutators_flagged(self):
+        # Session mutators are writer-confined and carry no lock tag;
+        # only the self-guarded store monitors must name theirs.
         session_src = (
             "class IncrementalTagDM:\n"
             "    def add_action(self):\n        pass\n"
@@ -370,13 +373,13 @@ class TestWriters:
             )
         )
         findings = writers.check_mutator_defs(session_src, store_src)
-        assert codes(findings) == ["WR401"] * (3 + len(writers.STORE_MUTATORS))
+        assert codes(findings) == ["WR401"] * len(writers.STORE_MUTATORS)
 
     def test_annotated_but_unguarded_store_mutator_flagged(self):
         session_src = (
             "class IncrementalTagDM:\n"
             + "".join(
-                f"    @locked_by('shard.merge')\n    def {name}(self):\n        pass\n"
+                f"    def {name}(self):\n        pass\n"
                 for name in writers.SESSION_MUTATORS
             )
         )
@@ -413,25 +416,6 @@ class TestWriters:
         findings = writers.check_call_sites("src/repro/serving/x.py", src)
         assert codes(findings) == ["WR402"]
 
-    def test_write_locked_call_site_accepted(self):
-        src = (
-            "class Handler:\n"
-            "    def f(self):\n"
-            "        with self._lock.write_locked():\n"
-            "            self.session.add_actions([])\n"
-        )
-        assert writers.check_call_sites("src/repro/serving/x.py", src) == []
-
-    def test_read_locked_does_not_satisfy_writer_context(self):
-        src = (
-            "class Handler:\n"
-            "    def f(self):\n"
-            "        with self._lock.read_locked():\n"
-            "            self.session.add_actions([])\n"
-        )
-        findings = writers.check_call_sites("src/repro/serving/x.py", src)
-        assert codes(findings) == ["WR402"]
-
     def test_writer_context_comment_accepted(self):
         src = (
             "class Handler:\n"
@@ -441,14 +425,25 @@ class TestWriters:
         )
         assert writers.check_call_sites("src/repro/serving/x.py", src) == []
 
-    def test_locked_by_decorated_caller_accepted(self):
+    def test_lock_hold_does_not_satisfy_writer_context(self):
+        # No lock guards the session, so holding (or naming) one is not
+        # the single-writer argument the marker states.
         src = (
             "class Handler:\n"
-            "    @locked_by('shard.merge')\n"
+            "    @locked_by('store.lock')\n"
             "    def f(self):\n"
-            "        self.session.add_actions([])\n"
+            "        with self._submit_lock:\n"
+            "            self.session.add_actions([])\n"
         )
-        assert writers.check_call_sites("src/repro/serving/x.py", src) == []
+        findings = writers.check_call_sites("src/repro/serving/x.py", src)
+        assert codes(findings) == ["WR402"]
+
+    def test_real_writer_loop_needs_its_marker(self):
+        real = (REPO_ROOT / SHARDS).read_text()
+        assert writers.check_call_sites(SHARDS, real) == []
+        unmarked = real.replace(writers.WRITER_MARKER, "# writer loop")
+        findings = writers.check_call_sites(SHARDS, unmarked)
+        assert [f.key for f in findings] == ["unsynchronized:add_actions"]
 
     def test_dataset_add_action_not_confused_with_session(self):
         src = (
@@ -539,55 +534,38 @@ class TestRaces:
         assert findings[0].key == "post-publish:C.x:f"
 
     def test_unlocked_write_flagged_locked_write_accepted(self):
-        # _maintenance_lock is the only LockDecl with that attribute
-        # name, so the lexical `with` resolves even in a synthetic class.
+        # Module, class and attribute match the fleet.registry LockDecl,
+        # so the lexical `with` resolves to it.
         src = (
-            "@owned_by(x='lock:shard.maintenance')\n"
-            "class C:\n"
+            "@owned_by(x='lock:fleet.registry')\n"
+            "class TagDMFleet:\n"
             "    def __init__(self):\n"
             "        self.x = 0\n"
             "    def good(self):\n"
-            "        with self._maintenance_lock:\n"
+            "        with self._lock:\n"
             "            self.x += 1\n"
             "    def bad(self):\n"
             "        self.x += 1\n"
         )
-        findings = races.check_file("m.py", src)
+        findings = races.check_file(FLEET, src)
         assert codes(findings) == ["RC502"]
-        assert findings[0].key == "unlocked:C.x:bad"
+        assert findings[0].key == "unlocked:TagDMFleet.x:bad"
 
     def test_locked_by_decorator_grants_lock_domain(self):
         src = (
-            "@owned_by(x='lock:shard.merge')\n"
+            "@owned_by(x='lock:store.lock')\n"
             "class C:\n"
             "    def __init__(self):\n"
             "        self.x = 0\n"
-            "    @locked_by('shard.merge')\n"
+            "    @locked_by('store.lock')\n"
             "    def f(self):\n"
             "        self.x = 1\n"
         )
         assert races.check_file("m.py", src) == []
 
-    def test_read_locked_is_not_a_writer_context(self):
-        src = (
-            "@owned_by(x='lock:shard.maintenance')\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self.x = 0\n"
-            "    def reader(self):\n"
-            "        with self._maintenance_lock.read_locked():\n"
-            "            self.x = 1\n"
-            "    def writer(self):\n"
-            "        with self._maintenance_lock.write_locked():\n"
-            "            self.x = 2\n"
-        )
-        findings = races.check_file("m.py", src)
-        assert codes(findings) == ["RC502"]
-        assert findings[0].key == "unlocked:C.x:reader"
-
     def test_container_mutation_outside_lock_flagged(self):
         src = (
-            "@owned_by(items='lock:shard.maintenance')\n"
+            "@owned_by(items='lock:fleet.registry')\n"
             "class C:\n"
             "    def __init__(self):\n"
             "        self.items = []\n"
@@ -602,7 +580,7 @@ class TestRaces:
 
     def test_nested_store_through_attribute_flagged(self):
         src = (
-            "@owned_by(session='lock:shard.maintenance')\n"
+            "@owned_by(session='lock:fleet.registry')\n"
             "class C:\n"
             "    def __init__(self):\n"
             "        self.session = object()\n"
@@ -660,12 +638,12 @@ class TestRaces:
 
     def test_writer_context_marker_accepted(self):
         src = (
-            "@owned_by(x='lock:shard.maintenance')\n"
+            "@owned_by(x='lock:fleet.registry')\n"
             "class C:\n"
             "    def __init__(self):\n"
             "        self.x = 0\n"
             "    def f(self):\n"
-            "        # analyze: writer-context -- single-writer merge thread\n"
+            "        # analyze: writer-context -- single-writer loop\n"
             "        self.x = 1\n"
         )
         assert races.check_file("m.py", src) == []
@@ -984,14 +962,3 @@ class TestSuite:
         )
         assert proc.returncode == 0
         assert "locks" in proc.stdout and "LD101" in proc.stdout
-
-    def test_doc_links_shim_still_works_and_warns(self):
-        proc = subprocess.run(
-            [sys.executable, "tools/check_doc_links.py"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert "DeprecationWarning" in proc.stderr
-        assert "tools.analyze --check doclinks" in proc.stderr

@@ -172,9 +172,9 @@ class TestLockedBy:
         def mutate(self):
             return 42
 
-        tagged = locked_by("shard.merge")(mutate)
+        tagged = locked_by("store.lock")(mutate)
         assert tagged is mutate
-        assert tagged.__locked_by__ == ("shard.merge",)
+        assert tagged.__locked_by__ == ("store.lock",)
 
     def test_hierarchy_names_are_unique(self):
         assert len(set(LOCK_HIERARCHY)) == len(LOCK_HIERARCHY)

@@ -1,5 +1,4 @@
-"""Documentation link integrity (DL5xx) -- the former
-``tools/check_doc_links.py``, folded into the analysis suite.
+"""Documentation link integrity (DL5xx).
 
 * **DL501** -- a relative link target in a top-level markdown file does
   not exist on disk.

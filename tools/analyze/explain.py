@@ -35,7 +35,7 @@ EXPLANATIONS: Dict[str, str] = {
         "attribute in the scanned modules must have a LockDecl in "
         "tools/analyze/hierarchy.py (so it has a rank in the deadlock "
         "hierarchy), be constructed through the witness factories "
-        "(named_lock / named_rlock / ReadWriteLock(name=...)) with "
+        "(named_lock / named_rlock) with "
         "exactly the declared name and kind, and every declaration must "
         "match a real construction.  This keeps the static hierarchy, "
         "the runtime witness and the code itself in lock-step."
@@ -116,20 +116,21 @@ EXPLANATIONS: Dict[str, str] = {
     ),
     # -- writer hygiene --------------------------------------------------
     "WR401": (
-        "Mutator missing its @locked_by annotation.  The declared "
-        "mutating methods of IncrementalTagDM and SqliteTaggingStore "
-        "must carry @locked_by(\"<lock>\") naming the lock that guards "
-        "them.  The decorator is static metadata (no runtime wrapper); "
-        "it makes the synchronization contract greppable and checkable."
+        "Declared mutator missing, or a store mutator without its "
+        "@locked_by annotation.  The declared mutating methods of "
+        "IncrementalTagDM must exist, and those of SqliteTaggingStore "
+        "must carry "
+        "@locked_by(\"store.lock\").  The decorator is static metadata "
+        "(no runtime wrapper); it makes the synchronization contract "
+        "greppable and checkable."
     ),
     "WR402": (
         "Session mutator called outside a writer context.  "
-        "IncrementalTagDM mutators are externally synchronized: a call "
-        "site must hold the shard's exclusive merge lock "
-        "(write_locked()), sit in a function itself tagged @locked_by, "
-        "or carry an `# analyze: writer-context` comment stating the "
-        "single-writer argument (e.g. startup-only replay before any "
-        "thread exists)."
+        "IncrementalTagDM mutators take no lock: one thread owns the "
+        "session (in serving, the shard's writer thread).  A call site "
+        "must carry an `# analyze: writer-context` comment stating why "
+        "its thread is that single writer (e.g. startup-only replay "
+        "before any thread exists)."
     ),
     "WR403": (
         "Self-guarded monitor method without its internal lock.  "
@@ -155,9 +156,9 @@ EXPLANATIONS: Dict[str, str] = {
         "in the domain's writer context: init-only and "
         "frozen-after-publish attributes must not be written post-init "
         "at all; lock:<name> attributes need the lock held (a lexical "
-        "`with`, write_locked() for rwlocks, an enclosing "
-        "@locked_by(\"<name>\"), or an `# analyze: writer-context` "
-        "comment); confined:<label> attributes may only be written by "
+        "`with`, an enclosing @locked_by(\"<name>\"), or an "
+        "`# analyze: writer-context` comment); confined:<label> "
+        "attributes may only be written by "
         "the declared writer methods."
     ),
     "RC503": (
@@ -172,7 +173,7 @@ EXPLANATIONS: Dict[str, str] = {
         "whose receiver chain goes through a view (`view`, `*_view`): a "
         "frozen SessionView and everything reachable from it is "
         "immutable after freeze() -- concurrent solvers read it with no "
-        "lock.  Mutate the live session under the merge lock and "
+        "lock.  Mutate the live session on the shard's writer thread and "
         "publish a new epoch.  The runtime half of this contract is the "
         "TAGDM_STATE_SANITIZER raise-on-write proxies "
         "(repro.core.sanitizer)."

@@ -38,8 +38,6 @@ LOCK_ORDER: Tuple[str, ...] = (
     "fleet.registry",
     "server.registry",
     "shard.submit",
-    "shard.maintenance",
-    "shard.merge",
     "shard.stats",
     "subs.state",
     "store.lock",
@@ -72,7 +70,7 @@ class LockDecl:
     module: str
     cls: str
     attr: str
-    kind: str  # "lock" | "rlock" | "rwlock"
+    kind: str  # "lock" | "rlock"
     fast_path: bool
     description: str
 
@@ -97,16 +95,6 @@ LOCK_DECLS: Tuple[LockDecl, ...] = (
         "shard.submit", "src/repro/serving/shards.py", "CorpusShard",
         "_submit_lock", "lock", True,
         "closed-check + enqueue atomicity on the insert path",
-    ),
-    LockDecl(
-        "shard.maintenance", "src/repro/serving/shards.py", "CorpusShard",
-        "_maintenance_lock", "rlock", False,
-        "fold/rotate serialisation (writer vs merge thread)",
-    ),
-    LockDecl(
-        "shard.merge", "src/repro/serving/shards.py", "CorpusShard",
-        "_lock", "rwlock", False,
-        "ticket RW lock: exclusive delta apply, shared fold/snapshot",
     ),
     LockDecl(
         "shard.stats", "src/repro/serving/shards.py", "CorpusShard",

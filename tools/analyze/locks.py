@@ -35,7 +35,6 @@ SCAN_EXCLUDE = ("src/repro/core/witness.py",)
 _FACTORY_KINDS = {
     "named_lock": "lock",
     "named_rlock": "rlock",
-    "ReadWriteLock": "rwlock",
 }
 
 #: Queue-style waits are blocking only on queue-ish receivers and only
@@ -43,7 +42,7 @@ _FACTORY_KINDS = {
 _RECEIVER_GATED = {
     "put": ("queue",),
     "get": ("queue",),
-    "join": ("queue", "thread", "writer", "merger", "process", "proc"),
+    "join": ("queue", "thread", "writer", "process", "proc"),
 }
 
 
@@ -70,7 +69,7 @@ def _base_attr(node: ast.expr) -> Optional[Tuple[str, str]]:
         if isinstance(value, ast.Name):
             return value.id, node.attr
         if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
-            # self._lock.write_locked -> base attr is _lock
+            # self._lock.acquire -> base attr is _lock
             return value.value.id, value.attr
     return None
 
@@ -194,18 +193,6 @@ class _ModuleScan(ast.NodeVisitor):
         for keyword in value.keywords:
             if keyword.arg == "name" and isinstance(keyword.value, ast.Constant):
                 literal = keyword.value.value
-        if factory == "ReadWriteLock" and literal is None:
-            self.findings.append(
-                Finding(
-                    "LD103",
-                    self.rel_path,
-                    node.lineno,
-                    f"lock {decl.name!r} is a ReadWriteLock constructed "
-                    "without a witness name",
-                    key=f"unnamed:{decl.name}",
-                )
-            )
-            return
         if literal != decl.name:
             self.findings.append(
                 Finding(

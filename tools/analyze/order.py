@@ -3,9 +3,7 @@
 * **LH201** -- lexically nested ``with`` blocks on declared locks must
   acquire in strictly increasing :data:`hierarchy.LOCK_RANK` order.
   Same-name nesting is also flagged unless the lock is an rlock (a
-  non-reentrant lock nested in itself is a guaranteed self-deadlock,
-  and a fair rwlock read nested in a read deadlocks the moment a writer
-  queues between them).
+  non-reentrant lock nested in itself is a guaranteed self-deadlock).
 * **LH202** -- the runtime hierarchy tuple in ``repro/core/witness.py``
   must be byte-for-byte the analyzer's :data:`hierarchy.LOCK_ORDER`,
   and every declared lock name must appear in it exactly once.

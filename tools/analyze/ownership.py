@@ -9,15 +9,16 @@ to write it after construction:
     Construction happens-before the object is published to any other
     thread, so these writes need no lock.
 ``lock:<name>``
-    Guarded by the PR 8 lock declaration ``<name>`` (see
+    Guarded by the lock declaration ``<name>`` (see
     ``tools/analyze/hierarchy.py``).  Every post-init write must be
-    inside ``with`` on that lock (``write_locked()`` for rwlocks),
-    inside a method tagged ``@locked_by("<name>")``, or under an
-    ``# analyze: writer-context`` comment arguing single-writer-ness.
+    inside ``with`` on that lock, inside a method tagged
+    ``@locked_by("<name>")``, or under an ``# analyze: writer-context``
+    comment arguing single-writer-ness.
 ``confined:<label>``
     Single-writer confined: only the methods listed under ``<label>``
     in ``confined_writers`` may write (e.g. lifecycle ``start``/``stop``
-    called from the owning thread, or a dedicated worker loop).
+    called from the owning thread, a dedicated worker loop, or the
+    session mutators only the shard's writer thread calls).
 ``frozen-after-publish``
     Immutable once ``__init__`` returns -- the static half of the
     publication contract the runtime sanitizer
@@ -75,18 +76,11 @@ OWNERSHIP_DECLS: Tuple[OwnershipDecl, ...] = (
             "fault_plan": "init-only",
             "start_mode": "init-only",
             "replayed_actions": "init-only",
-            "_lock": "init-only",
-            "_maintenance_lock": "init-only",
             "_queue": "init-only",
             "_closed": "init-only",
             "_submit_lock": "init-only",
             "_stats_lock": "init-only",
             "_writer": "init-only",
-            "_merge_stop": "init-only",
-            "_merger": "init-only",
-            # The merge wakeup event is set from anywhere (Events are
-            # thread-safe) but only the merger loop clears it.
-            "_merge_wakeup": "confined:merger",
             # Counters, error strings and the published-view pointer:
             # every post-init touch holds the stats lock.
             "_inserts_served": "lock:shard.stats",
@@ -104,7 +98,6 @@ OWNERSHIP_DECLS: Tuple[OwnershipDecl, ...] = (
             "_next_epoch": "lock:shard.stats",
             "_pins": "lock:shard.stats",
         },
-        confined_writers={"merger": ("_merge_loop",)},
     ),
     OwnershipDecl(
         module="src/repro/serving/server.py",
@@ -201,18 +194,28 @@ OWNERSHIP_DECLS: Tuple[OwnershipDecl, ...] = (
         cls="IncrementalTagDM",
         attrs={
             "store": "init-only",
-            # The live session and the delta-tracking maps: externally
-            # synchronized by the shard's exclusive merge lock (the WR4xx
-            # contract on the mutator methods).
-            "session": "lock:shard.merge",
-            "_pending": "lock:shard.merge",
-            "_group_index": "lock:shard.merge",
+            # The live session and the delta-tracking maps: confined to
+            # one writer thread (the shard's writer; the WR402 contract
+            # on the mutator call sites), written only by the mutators.
+            "session": "confined:writer",
+            "_pending": "confined:writer",
+            "_group_index": "confined:writer",
             # Listener registration is construction-time wiring (the
             # shard registers its WAL hook before any writer starts).
             "_mutation_listeners": "confined:wiring",
         },
         init_methods=("__init__", "prepare", "_seed_pending_from_dataset"),
-        confined_writers={"wiring": ("add_mutation_listener",)},
+        confined_writers={
+            "writer": (
+                "_touch_group",
+                "_invalidate_derived_state",
+                "_insert_one",
+                "add_action",
+                "add_actions",
+                "refresh_topic_model",
+            ),
+            "wiring": ("add_mutation_listener",),
+        },
     ),
     OwnershipDecl(
         module="src/repro/dataset/sqlite_store.py",

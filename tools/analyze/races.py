@@ -21,11 +21,10 @@ checker flags writes that escape their domain:
 * **RC505** -- a stale declaration: a declared attribute the class
   never writes (or a declared class the module no longer defines).
 
-Writer contexts reuse the PR 8 machinery: a lexical ``with`` on the
-declared lock (``write_locked()`` for rwlocks; ``read_locked()`` never
-grants write access), an enclosing ``@locked_by("<name>")`` decorator,
-or an ``# analyze: writer-context`` comment.  A write site may also
-declare its attribute inline with ``# analyze: owner=<domain>``.
+Writer contexts reuse the lock-discipline machinery: a lexical
+``with`` on the declared lock, an enclosing ``@locked_by("<name>")``
+decorator, or an ``# analyze: writer-context`` comment.  A write site
+may also declare its attribute inline with ``# analyze: owner=<domain>``.
 """
 
 from __future__ import annotations
@@ -160,16 +159,7 @@ class _ClassScan(ast.NodeVisitor):
 
     def _with_label(self, expr: ast.expr) -> Optional[str]:
         if isinstance(expr, ast.Call):
-            func = expr.func
-            if isinstance(func, ast.Attribute) and func.attr in (
-                "write_locked",
-                "read_locked",
-            ):
-                if func.attr == "read_locked":
-                    return None  # shared hold: never a writer context
-                decl = self._resolve_lock(func.value)
-                return decl.name if decl is not None else None
-            return None  # other context managers are not lock holds
+            return None  # context-manager calls are not lock holds
         decl = self._resolve_lock(expr)
         return decl.name if decl is not None else None
 
@@ -313,8 +303,8 @@ class _ViewMutationScan(ast.NodeVisitor):
                 "RC504", self.rel_path, line,
                 f"{what} reaches state published through view {chain!r}: a "
                 "frozen SessionView (and everything hanging off it) is "
-                "immutable after freeze() -- mutate the live session under "
-                "the merge lock and publish a new epoch",
+                "immutable after freeze() -- mutate the live session on "
+                "the shard's writer thread and publish a new epoch",
                 key=f"view-mutation:{chain}:{what.split(' ')[0]}",
             )
         )

@@ -3,13 +3,12 @@
 The mutating surface of the two stateful cores is small and must stay
 explicitly annotated:
 
-* ``IncrementalTagDM`` mutators are **externally synchronized**: the
-  caller must hold the shard's exclusive merge lock (or be a declared
-  single-writer context).  Each mutator carries
-  ``@locked_by("shard.merge")`` (WR401) and every call site in src must
-  be inside a ``write_locked()`` block, inside a function itself tagged
-  ``@locked_by``, or under an ``# analyze: writer-context`` comment
-  explaining why no lock is needed (WR402).
+* ``IncrementalTagDM`` mutators are **single-writer confined**: they
+  take no lock, and one thread at a time may call them (in serving, the
+  shard's writer thread).  Each must exist (WR401), and every call site
+  in src must sit under an ``# analyze: writer-context`` comment stating
+  why its thread is the session's only writer (WR402).  The attributes
+  they write are ``confined:writer`` in ``tools/analyze/ownership.py``.
 * ``SqliteTaggingStore`` mutators are **self-guarded monitors**: each
   carries ``@locked_by("store.lock")`` (WR401) and its body must
   actually take ``with self._lock:`` (WR403).
@@ -32,12 +31,12 @@ __all__ = [
     "run",
 ]
 
-#: Externally-synchronized mutators: class, module, required lock.
-SESSION_MUTATORS: Dict[str, str] = {
-    "add_action": "shard.merge",
-    "add_actions": "shard.merge",
-    "refresh_topic_model": "shard.merge",
-}
+#: Single-writer-confined mutators of the session class.
+SESSION_MUTATORS: Tuple[str, ...] = (
+    "add_action",
+    "add_actions",
+    "refresh_topic_model",
+)
 SESSION_CLASS = ("src/repro/core/incremental.py", "IncrementalTagDM")
 
 #: Self-guarded monitor mutators: every body takes the store lock.
@@ -106,24 +105,13 @@ def check_mutator_defs(
     if store_tree is None:
         store_tree = ast.parse(store_source, filename=store_path)
     methods = _class_methods(session_tree, SESSION_CLASS[1])
-    for name, required in sorted(SESSION_MUTATORS.items()):
-        func = methods.get(name)
-        if func is None:
+    for name in SESSION_MUTATORS:
+        if name not in methods:
             findings.append(
                 Finding(
                     "WR401", session_path, 1,
                     f"declared mutator {SESSION_CLASS[1]}.{name} not found",
                     key=f"missing-mutator:{name}",
-                )
-            )
-            continue
-        if required not in _locked_by_names(func):
-            findings.append(
-                Finding(
-                    "WR401", session_path, func.lineno,
-                    f"{SESSION_CLASS[1]}.{name} mutates session state but "
-                    f"is not annotated @locked_by({required!r})",
-                    key=f"unannotated:{SESSION_CLASS[1]}.{name}",
                 )
             )
 
@@ -178,64 +166,35 @@ class _CallSiteScan(ast.NodeVisitor):
         self.rel_path = rel_path
         self.lines = source.splitlines()
         self.findings: List[Finding] = []
-        self._with_contexts: List[str] = []
         self._func_stack: List[ast.FunctionDef] = []
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._func_stack.append(node)
-        saved, self._with_contexts = self._with_contexts, []
         self.generic_visit(node)
-        self._with_contexts = saved
         self._func_stack.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def visit_With(self, node: ast.With) -> None:
-        labels: List[str] = []
-        for item in node.items:
-            expr = item.context_expr
-            if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
-                if expr.func.attr in ("write_locked", "read_locked"):
-                    # an rwlock hold; exclusive side satisfies shard.merge
-                    if expr.func.attr == "write_locked":
-                        labels.append("shard.merge")
-                    continue
-            base = _base_attr(expr)
-            if base is not None:
-                labels.append(f"attr:{base[1]}")
-        self._with_contexts.extend(labels)
-        self.generic_visit(node)
-        for _ in labels:
-            self._with_contexts.pop()
 
     def visit_Call(self, node: ast.Call) -> None:
         self.generic_visit(node)
         if not isinstance(node.func, ast.Attribute):
             return
         name = node.func.attr
-        required = SESSION_MUTATORS.get(name)
-        if required is None:
+        if name not in SESSION_MUTATORS:
             return
-        receiver = _receiver_text(node.func.value).lower()
-        if _SESSION_RECEIVER_HINT not in receiver:
-            return
-        if required in self._with_contexts:
+        receiver = _receiver_text(node.func.value)
+        if _SESSION_RECEIVER_HINT not in receiver.lower():
             return
         enclosing = self._func_stack[-1] if self._func_stack else None
-        if enclosing is not None:
-            if required in _locked_by_names(enclosing):
-                return
-            if self._marker_before(enclosing, node.lineno):
-                return
+        if enclosing is not None and self._marker_before(enclosing, node.lineno):
+            return
         self.findings.append(
             Finding(
                 "WR402", self.rel_path, node.lineno,
-                f"{_receiver_text(node.func.value)}.{name}() mutates the "
-                f"session without holding {required!r}: wrap it in the "
-                "shard's write_locked() block, tag the enclosing function "
-                f"@locked_by({required!r}), or add an "
-                f"'{WRITER_MARKER}' comment explaining the single-writer "
-                "argument",
+                f"{receiver}.{name}() mutates the session outside a declared "
+                "writer context: session mutators take no lock, so only the "
+                "one thread that owns the session may call them -- add an "
+                f"'{WRITER_MARKER}' comment stating why this thread is it",
                 key=f"unsynchronized:{name}",
             )
         )
