@@ -169,6 +169,181 @@ class TestWriterThread:
         assert [entry[0] for entry in plan.fired] == ["shard.apply"]
         server.close()
 
+    def test_session_is_touched_only_by_the_writer_thread(self, tmp_path):
+        """Inserts, merge_now(), flush() and close() from many client
+        threads: every apply, fold and snapshot runs on the writer thread,
+        and no two of them ever overlap."""
+        dataset = make_dataset()
+        # No fold on write: every fold is one a client asked for.
+        server = make_server(tmp_path, merge_policy=MergePolicy(every_inserts=None))
+        shard = server.add_corpus("movies", dataset)
+        base_actions = shard.current_view().n_actions
+        guard = threading.Lock()
+        calls = []
+        active = [0]
+        peak = [0]
+
+        def record(kind, method):
+            def wrapper(*args, **kwargs):
+                with guard:
+                    active[0] += 1
+                    peak[0] = max(peak[0], active[0])
+                    calls.append((kind, threading.current_thread().name))
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    with guard:
+                        active[0] -= 1
+
+            return wrapper
+
+        shard.session.add_actions = record("apply", shard.session.add_actions)
+        shard.session.freeze = record("fold", shard.session.freeze)
+        shard.rotator.rotate = record("rotate", shard.rotator.rotate)
+
+        def client(worker):
+            for step in range(5):
+                shard.insert_batch(actions_for(dataset, f"w{worker}s{step}", 3))
+                if step % 2:
+                    shard.merge_now()
+                else:
+                    shard.flush()
+
+        threads = [threading.Thread(target=client, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        server.close()
+
+        assert {kind for kind, _ in calls} == {"apply", "fold", "rotate"}
+        assert {name for _, name in calls} == {"tagdm-shard-movies"}
+        assert peak[0] == 1
+        assert shard.current_view().n_actions == base_actions + 60
+        assert shard.session.consistency_errors() == []
+
+    def test_concurrent_solves_never_wait_for_the_writer(self, tmp_path):
+        """Several solves issued while the writer sleeps inside an apply
+        all finish on the published view before the apply does, and
+        agree with a solve made before the insert."""
+        dataset = make_dataset()
+        plan = FaultPlan(
+            [FaultRule("shard.apply", "sleep", at=1, sleep_seconds=3.0)]
+        )
+        server = make_server(tmp_path, fault_plan=plan)
+        shard = server.add_corpus("movies", dataset)
+        problem = make_problem(shard)
+        expected = result_key(shard.solve(problem))  # also warms the view
+        epoch = shard.current_view().epoch
+
+        future = shard.submit_insert(actions_for(dataset, "readers", 2))
+        time.sleep(0.1)  # the writer is now asleep inside the apply
+        results = []
+
+        def reader():
+            results.append(result_key(shard.solve(problem)))
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not future.done(), "the solves waited for the writer"
+        assert results == [expected] * 4
+        assert shard.current_view().epoch == epoch
+        future.result(timeout=30.0)
+        assert shard.current_view().epoch > epoch
+        server.close()
+
+    def test_merge_requests_in_one_batch_share_one_fold(self, tmp_path):
+        """merge_now() calls queued behind the same apply are answered by
+        a single fold: one failure, raised to every caller, and the next
+        request folds the delta."""
+        dataset = make_dataset()
+        plan = FaultPlan(
+            [
+                FaultRule("shard.apply", "sleep", at=1, sleep_seconds=1.0),
+                FaultRule("merge.pre_fold", "crash", at=1),
+            ]
+        )
+        server = make_server(
+            tmp_path,
+            merge_policy=MergePolicy(every_inserts=None),
+            fault_plan=plan,
+        )
+        shard = server.add_corpus("movies", dataset)
+        base_epoch = shard.stats()["epoch"]
+        base_actions = shard.current_view().n_actions
+
+        future = shard.submit_insert(actions_for(dataset, "shared", 2))
+        time.sleep(0.1)  # the writer is now asleep inside the apply
+        errors = []
+
+        def request():
+            try:
+                shard.merge_now()
+            except InjectedFault as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=request) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert len(errors) == 3
+        assert errors[0] is errors[1] is errors[2]
+        assert future.result(timeout=30.0).actions_added == 2
+        stats = shard.stats()
+        assert stats["merge_failures"] == 1
+        assert stats["merge_count"] == 0
+        assert stats["delta_size"] == 2
+
+        assert shard.merge_now() == base_epoch + 1
+        assert shard.current_view().n_actions == base_actions + 2
+        assert [entry[0] for entry in plan.fired] == [
+            "shard.apply",
+            "merge.pre_fold",
+        ]
+        server.close()
+
+    def test_close_folds_and_snapshots_the_leftover_delta(self, tmp_path):
+        """With no trigger due, close() alone publishes the delta and
+        writes the final snapshot, and a reopen starts warm from it."""
+
+        def open_server():
+            return TagDMServer(
+                tmp_path,
+                policy=SnapshotRotationPolicy(every_inserts=10_000),
+                merge_policy=MergePolicy(every_inserts=None),
+                enumeration=ENUMERATION,
+                signature_backend="frequency",
+                seed=3,
+            )
+
+        dataset = make_dataset()
+        server = open_server()
+        shard = server.add_corpus("movies", dataset)
+        base = shard.stats()
+        base_actions = shard.current_view().n_actions
+        shard.insert_batch(actions_for(dataset, "closing", 3))
+        assert shard.stats()["delta_size"] == 3
+        server.close()
+
+        stats = shard.stats()
+        assert stats["delta_size"] == 0
+        assert stats["merge_count"] == 1
+        assert stats["epoch"] == base["epoch"] + 1
+        assert stats["snapshots_written"] == base["snapshots_written"] + 1
+        assert shard.current_view().n_actions == base_actions + 3
+
+        reopened = open_server()
+        warm = reopened.open_corpus("movies")
+        assert warm.start_mode == "warm"
+        assert warm.current_view().n_actions == base_actions + 3
+        assert len(rows_tagged(warm.session.dataset, "tag-closing-1")) == 1
+        reopened.close()
+
 
 class TestSnapshotVisibility:
     """An insert acked via the delta appears in the next merged view
