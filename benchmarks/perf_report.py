@@ -70,9 +70,6 @@ sections -- v1 has no ``persistence``/``serving``/``http``/``fleet``/
         "requests_per_second": float,
         "inprocess_solve_ms": float, "http_solve_ms": float,
         "wire_overhead_ms": float,
-        "unpooled_solve_ms": float,
-        "stats_pooled_ms": float, "stats_unpooled_ms": float,
-        "connection_overhead_ms": float,
         "parity": bool
       },
       "fleet": {
@@ -576,28 +573,15 @@ def bench_http(quick: bool) -> Dict:
 
             # Per-request overhead: the identical spec, warm caches, one
             # client -- wire time minus in-process time is the protocol
-            # cost (serde + HTTP + socket).  The unpooled client opens a
-            # fresh TCP connection per request (the pre-PR-5 behaviour),
-            # so pooled vs unpooled isolates what keep-alive saves.
+            # cost (serde + HTTP + socket).
             client = HttpClient(front.url)
-            unpooled = HttpClient(front.url, keep_alive=False)
             local = LocalClient({"bench": shard.session})
             client.solve("bench", spec)  # warm both paths before timing
-            unpooled.solve("bench", spec)
             local.solve("bench", spec)
             http_solve, inprocess_solve = best_of_pair(
                 timed_solves,
                 lambda: client.solve("bench", spec),
                 lambda: local.solve("bench", spec),
-            )
-            unpooled_solve = best_of(timed_solves, lambda: unpooled.solve("bench", spec))
-            # Connection-setup cost, isolated on a no-compute request so
-            # a solve's variance cannot drown the ~sub-ms TCP+teardown
-            # saving that pooling buys on every single request.
-            stats_pooled, stats_unpooled = best_of_pair(
-                max(20, timed_solves * 4),
-                lambda: client.stats("bench"),
-                lambda: unpooled.stats("bench"),
             )
 
             over_http = client.solve("bench", spec)
@@ -610,7 +594,6 @@ def bench_http(quick: bool) -> Dict:
                 == [g.tuple_indices for g in in_process.groups]
             )
             stats = client.stats("bench")
-            unpooled.close()
             client.close()
         server.close()
 
@@ -628,10 +611,6 @@ def bench_http(quick: bool) -> Dict:
         "inprocess_solve_ms": inprocess_solve * 1e3,
         "http_solve_ms": http_solve * 1e3,
         "wire_overhead_ms": (http_solve - inprocess_solve) * 1e3,
-        "unpooled_solve_ms": unpooled_solve * 1e3,
-        "stats_pooled_ms": stats_pooled * 1e3,
-        "stats_unpooled_ms": stats_unpooled * 1e3,
-        "connection_overhead_ms": (stats_unpooled - stats_pooled) * 1e3,
         "parity": parity,
     }
 
@@ -1599,13 +1578,6 @@ def validate_report(report: Dict) -> None:
         assert http["requests_per_second"] > 0
         assert http["client_threads"] >= 2
     if report["schema_version"] >= 5:
-        for field in (
-            "unpooled_solve_ms",
-            "stats_pooled_ms",
-            "stats_unpooled_ms",
-            "connection_overhead_ms",
-        ):
-            assert field in report["http"], f"http missing {field}"
         fleet = report["fleet"]
         for field in (
             "corpora",
@@ -1790,10 +1762,7 @@ def main(argv=None) -> int:
         f"({http['requests_per_second']:.0f} req/s; solve "
         f"{http['inprocess_solve_ms']:.1f} ms in-process vs "
         f"{http['http_solve_ms']:.1f} ms over HTTP, "
-        f"overhead {http['wire_overhead_ms']:.1f} ms, parity={http['parity']}; "
-        f"stats {http['stats_unpooled_ms']:.2f} ms unpooled vs "
-        f"{http['stats_pooled_ms']:.2f} ms pooled, "
-        f"pooling saves {http['connection_overhead_ms']:.2f} ms/req)"
+        f"overhead {http['wire_overhead_ms']:.1f} ms, parity={http['parity']})"
     )
     fleet = report["fleet"]
     ladder = ", ".join(

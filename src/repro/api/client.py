@@ -489,7 +489,6 @@ class HttpConnectionPool:
         base_url: str,
         request_timeout: float = 30.0,
         max_idle: int = 8,
-        keep_alive: bool = True,
         fault_plan=None,
     ) -> None:
         parsed = urllib.parse.urlsplit(base_url)
@@ -502,10 +501,6 @@ class HttpConnectionPool:
         self.port = parsed.port or 80
         self.request_timeout = request_timeout
         self.max_idle = max_idle
-        #: ``keep_alive=False`` degrades to one-connection-per-request
-        #: (the pre-pool behaviour) -- kept so the perf report can
-        #: measure exactly what pooling saves.
-        self.keep_alive = keep_alive
         #: Optional :class:`~repro.serving.reliability.FaultPlan`; the
         #: ``pool.pre_send`` point fires before each send on a *reused*
         #: connection (``reset`` shuts the socket down first, simulating
@@ -535,11 +530,7 @@ class HttpConnectionPool:
 
     def _release(self, connection: http.client.HTTPConnection) -> None:
         with self._lock:
-            if (
-                self.keep_alive
-                and not self._closed
-                and len(self._idle) < self.max_idle
-            ):
+            if not self._closed and len(self._idle) < self.max_idle:
                 self._idle.append(connection)
                 return
         connection.close()
@@ -726,9 +717,6 @@ class HttpClient(TagDMClient):
         Socket timeout applied to every request (seconds).  A solve with
         an explicit ``timeout`` also sends it to the server as its
         compute budget and widens the socket timeout to cover it.
-    keep_alive:
-        ``False`` opens a fresh connection per request (the pre-PR-5
-        behaviour; kept for benchmarking the difference).
     pool_size:
         Upper bound on idle connections kept warm.
 
@@ -743,7 +731,6 @@ class HttpClient(TagDMClient):
         self,
         base_url: str,
         request_timeout: float = 30.0,
-        keep_alive: bool = True,
         pool_size: int = 8,
         fault_plan=None,
     ) -> None:
@@ -753,7 +740,6 @@ class HttpClient(TagDMClient):
             self.base_url,
             request_timeout=request_timeout,
             max_idle=pool_size,
-            keep_alive=keep_alive,
             fault_plan=fault_plan,
         )
 
@@ -816,6 +802,54 @@ class HttpClient(TagDMClient):
         except (OSError, http.client.HTTPException) as exc:
             self._raise_transport_error(exc, method, path, budget)
         return self._decode_payload(status, raw, method, path)
+
+    def _stream(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Mapping[str, object]],
+        timeout: Optional[float],
+        parse: Callable[[Iterator[bytes]], Dict[str, object]],
+    ) -> Dict[str, object]:
+        """One request whose NDJSON body ``parse`` reads line by line.
+
+        ``parse`` sees the body's lines as they arrive off the socket
+        and returns the decoded payload.  An error status raises its
+        typed :class:`ApiError` (``parse`` never runs); a transport
+        failure raises :class:`ConnectionFailedError` or
+        :class:`SolveTimeoutError`.  The connection goes back to the
+        pool only when the body was drained; a body that ``parse``
+        abandoned, or that broke, takes its connection with it.  Every
+        streamed request is replay-safe (GETs and read-only solves).
+        """
+        data, headers = self._encode_body(body)
+        budget = self._budget(timeout)
+        try:
+            response = self.pool.open_response(
+                method, path, body=data, headers=headers, timeout=budget,
+                idempotent=True,
+            )
+        except (OSError, http.client.HTTPException) as exc:
+            self._raise_transport_error(exc, method, path, budget)
+        error_body: Optional[bytes] = None
+        try:
+            if response.status >= 400:
+                error_body = response.read()
+            else:
+                payload = parse(iter(response.readline, b""))
+        except (OSError, http.client.HTTPException) as exc:
+            self.pool.abandon(response)
+            self._raise_transport_error(exc, method, path, budget)
+        except BaseException:
+            self.pool.abandon(response)
+            raise
+        if response.isclosed():
+            self.pool.finish(response)
+        else:
+            self.pool.abandon(response)
+        if error_body is not None:
+            self._decode_payload(response.status, error_body, method, path)  # raises
+        return payload
 
     # ------------------------------------------------------------------
     # TagDMClient operations
@@ -950,36 +984,10 @@ class HttpClient(TagDMClient):
         the envelope's group count), never a silently short result.
         """
         body = self._solve_body(request, algorithm, timeout, options)
-        data, headers = self._encode_body(body)
         path = self._corpus_path(corpus, "solve", "stream=ndjson")
-        budget = self._budget(timeout)
-        try:
-            response = self.pool.open_response(
-                "POST", path, body=data, headers=headers, timeout=budget,
-                idempotent=True,
-            )
-        except (OSError, http.client.HTTPException) as exc:
-            self._raise_transport_error(exc, "POST", path, budget)
-        error_body: Optional[bytes] = None
-        try:
-            status = response.status
-            if status >= 400:
-                error_body = response.read()
-            else:
-                payload = result_from_ndjson(iter(response.readline, b""))
-        except (OSError, http.client.HTTPException) as exc:
-            self.pool.abandon(response)
-            self._raise_transport_error(exc, "POST", path, budget)
-        except BaseException:
-            self.pool.abandon(response)
-            raise
-        if response.isclosed():
-            self.pool.finish(response)
-        else:
-            self.pool.abandon(response)
-        if error_body is not None:
-            self._decode_payload(status, error_body, "POST", path)  # raises
-        return MiningResult.from_dict(payload)
+        return MiningResult.from_dict(
+            self._stream("POST", path, body, timeout, result_from_ndjson)
+        )
 
     def stats(self, corpus: str) -> Dict[str, object]:
         return self._request("GET", self._corpus_path(corpus, "stats"))
@@ -1059,115 +1067,7 @@ class HttpClient(TagDMClient):
         path = self._subscription_path(
             corpus, subscription_id, f"/stream?from_seq={int(from_seq)}"
         )
-        budget = self._budget(None)
-        try:
-            response = self.pool.open_response(
-                "GET", path, body=None, headers={}, timeout=budget,
-                idempotent=True,
-            )
-        except (OSError, http.client.HTTPException) as exc:
-            self._raise_transport_error(exc, "GET", path, budget)
-        error_body: Optional[bytes] = None
-        try:
-            status = response.status
-            if status >= 400:
-                error_body = response.read()
-            else:
-                payload = diffs_from_ndjson(iter(response.readline, b""))
-        except (OSError, http.client.HTTPException) as exc:
-            self.pool.abandon(response)
-            self._raise_transport_error(exc, "GET", path, budget)
-        except BaseException:
-            self.pool.abandon(response)
-            raise
-        if response.isclosed():
-            self.pool.finish(response)
-        else:
-            self.pool.abandon(response)
-        if error_body is not None:
-            self._decode_payload(status, error_body, "GET", path)  # raises
-        return payload
-
-    @staticmethod
-    def _consume_diff_lines(response, from_seq: int, sink: List[Dict[str, object]], path: str) -> Dict[str, object]:
-        """Parse one diff NDJSON stream, acking into ``sink`` per line.
-
-        Every *complete* diff line is appended to ``sink`` before the
-        next line is read, so when the stream dies mid-transfer the
-        caller knows exactly which diffs arrived whole and can resume
-        from the seq after the last acked one.
-        """
-        def fail(message: str) -> None:
-            raise SpecValidationError(f"{message} from GET {path}")
-
-        first = response.readline()
-        if not first:
-            fail("empty NDJSON stream")
-        try:
-            envelope = json.loads(first.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            fail("malformed NDJSON envelope")
-        if not isinstance(envelope, dict) or envelope.get("kind") != "diffs":
-            fail("unexpected NDJSON envelope")
-        expected = int(from_seq)
-        for _ in range(int(envelope.get("n_diffs", 0))):
-            line = response.readline()
-            if not line:
-                fail("truncated NDJSON stream")
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                fail("malformed NDJSON diff line")
-            if not isinstance(record, dict) or record.get("kind") != "diff":
-                fail("unexpected NDJSON line kind")
-            if int(record.get("seq", -1)) != expected:
-                fail("non-contiguous diff seq")
-            record.pop("kind", None)
-            sink.append(record)
-            expected += 1
-        envelope = dict(envelope)
-        envelope.pop("kind", None)
-        envelope.pop("n_diffs", None)
-        return envelope
-
-    def _read_diff_stream(
-        self,
-        corpus: str,
-        subscription_id: str,
-        from_seq: int,
-        sink: List[Dict[str, object]],
-    ) -> Dict[str, object]:
-        path = self._subscription_path(
-            corpus, subscription_id, f"/stream?from_seq={int(from_seq)}"
-        )
-        budget = self._budget(None)
-        try:
-            response = self.pool.open_response(
-                "GET", path, body=None, headers={}, timeout=budget,
-                idempotent=True,
-            )
-        except (OSError, http.client.HTTPException) as exc:
-            self._raise_transport_error(exc, "GET", path, budget)
-        error_body: Optional[bytes] = None
-        try:
-            status = response.status
-            if status >= 400:
-                error_body = response.read()
-            else:
-                envelope = self._consume_diff_lines(response, from_seq, sink, path)
-        except (OSError, http.client.HTTPException) as exc:
-            self.pool.abandon(response)
-            self._raise_transport_error(exc, "GET", path, budget)
-        except BaseException:
-            self.pool.abandon(response)
-            raise
-        if response.isclosed():
-            self.pool.finish(response)
-        else:
-            self.pool.abandon(response)
-        if error_body is not None:
-            self._decode_payload(status, error_body, "GET", path)  # raises
-        return envelope
+        return self._stream("GET", path, None, None, diffs_from_ndjson)
 
     def follow_subscription(
         self,
@@ -1179,29 +1079,36 @@ class HttpClient(TagDMClient):
         """Stream the diff suffix, resuming across truncated streams.
 
         Diffs are acked line by line as each complete NDJSON record
-        arrives; when a stream dies mid-transfer (truncated body or a
-        dropped connection) the client reconnects with ``from_seq`` set
-        to the last acked seq + 1, so no diff is ever skipped or
-        replayed -- the resumed stream starts exactly where the dead
-        one stopped.  Returns the poll-shaped payload plus a
-        ``reconnects`` count.
+        arrives; when a stream dies mid-transfer (truncated or malformed
+        body, or a dropped connection) the client reconnects with
+        ``from_seq`` set to the last acked seq + 1, so no diff is ever
+        skipped or replayed -- the resumed stream starts exactly where
+        the dead one stopped.  An error response is not a broken
+        stream: it raises its typed error on the first attempt.
+        Returns the poll-shaped payload plus a ``reconnects`` count.
         """
         collected: List[Dict[str, object]] = []
+
+        def ack(lines: Iterator[bytes]) -> Dict[str, object]:
+            try:
+                return diffs_from_ndjson(lines, sink=collected)
+            except SpecValidationError as exc:
+                raise ConnectionFailedError(f"subscription stream broke: {exc}") from exc
+
         next_seq = int(from_seq)
         last_error: Optional[Exception] = None
         for attempt in range(max_reconnects + 1):
+            path = self._subscription_path(
+                corpus, subscription_id, f"/stream?from_seq={next_seq}"
+            )
             try:
-                envelope = self._read_diff_stream(
-                    corpus, subscription_id, next_seq, collected
-                )
-            except (SpecValidationError, ConnectionFailedError) as exc:
+                result = self._stream("GET", path, None, None, ack)
+            except ConnectionFailedError as exc:
                 last_error = exc
                 if collected:
                     next_seq = int(collected[-1]["seq"]) + 1
                 continue
-            result = dict(envelope)
             result["from_seq"] = int(from_seq)
-            result["diffs"] = collected
             result["reconnects"] = attempt
             return result
         raise ConnectionFailedError(
@@ -1237,7 +1144,6 @@ class FleetClient(TagDMClient):
         self,
         router_url: str,
         request_timeout: float = 30.0,
-        direct: bool = True,
         pool_size: int = 8,
     ) -> None:
         self.router = HttpClient(
@@ -1245,9 +1151,6 @@ class FleetClient(TagDMClient):
         )
         self.request_timeout = request_timeout
         self.pool_size = pool_size
-        #: ``direct=False`` sends everything through the router (useful
-        #: to measure the forwarding overhead the direct path avoids).
-        self.direct = direct
         self._lock = named_lock("client.placement")
         self._corpus_urls: Dict[str, str] = {}
         self._workers: Dict[str, HttpClient] = {}
@@ -1281,8 +1184,6 @@ class FleetClient(TagDMClient):
             return client
 
     def _direct_client(self, corpus: str, refresh: bool) -> Optional[HttpClient]:
-        if not self.direct:
-            return None
         with self._lock:
             url = self._corpus_urls.get(corpus)
         if url is None or refresh:

@@ -188,6 +188,63 @@ def solve_spec_payload(
     return page.paginate(payload)
 
 
+def _ndjson_frame(
+    envelope: Mapping[str, object], records: Iterable[Mapping[str, object]]
+) -> Iterator[bytes]:
+    """The framing both NDJSON stream kinds share: the envelope line
+    (carrying the record count), then one line per record."""
+    yield json.dumps(envelope).encode("utf-8") + b"\n"
+    for record in records:
+        yield json.dumps(record).encode("utf-8") + b"\n"
+
+
+def _ndjson_records(
+    lines: Iterable[Union[str, bytes]],
+    envelope_kind: str,
+    count_key: str,
+    record_kind: str,
+) -> Iterator[Dict[str, object]]:
+    """Decode one :func:`_ndjson_frame` lazily.
+
+    Yields the envelope (minus ``kind`` and ``count_key``), then each
+    ``record_kind`` record as soon as its line parses.  Raises
+    :class:`SpecValidationError` on a malformed line, a wrong kind, an
+    empty stream or -- once the lines run out -- a record count that
+    disagrees with the envelope's (the truncation check).
+    """
+    expected: Optional[int] = None
+    received = 0
+    for raw in lines:
+        try:
+            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+            if not text.strip():
+                continue
+            record = json.loads(text)
+        except ValueError as exc:
+            raise SpecValidationError(f"malformed NDJSON line: {exc}") from exc
+        kind = record.get("kind") if isinstance(record, dict) else None
+        if expected is None:
+            if kind != envelope_kind:
+                raise SpecValidationError(
+                    f"NDJSON stream must start with the {envelope_kind} envelope, "
+                    f"got {kind!r}"
+                )
+            expected = int(record.get(count_key, 0))
+            yield {k: v for k, v in record.items() if k not in ("kind", count_key)}
+        elif kind == record_kind:
+            received += 1
+            yield record
+        else:
+            raise SpecValidationError(f"unexpected NDJSON record kind {kind!r}")
+    if expected is None:
+        raise SpecValidationError("empty NDJSON stream")
+    if received != expected:
+        noun = count_key[len("n_"):]
+        raise SpecValidationError(
+            f"truncated NDJSON stream: expected {expected} {noun}, got {received}"
+        )
+
+
 def result_ndjson_lines(payload: Mapping[str, object]) -> Iterator[bytes]:
     """Encode a result payload as NDJSON lines (UTF-8, newline-terminated).
 
@@ -201,9 +258,9 @@ def result_ndjson_lines(payload: Mapping[str, object]) -> Iterator[bytes]:
     envelope = {key: value for key, value in payload.items() if key != "groups"}
     envelope["kind"] = "result"
     envelope["n_groups"] = len(groups)
-    yield json.dumps(envelope).encode("utf-8") + b"\n"
-    for group in groups:
-        yield json.dumps({"kind": "group", "group": group}).encode("utf-8") + b"\n"
+    return _ndjson_frame(
+        envelope, ({"kind": "group", "group": group} for group in groups)
+    )
 
 
 def result_from_ndjson(lines: Iterable[Union[str, bytes]]) -> Dict[str, object]:
@@ -214,40 +271,9 @@ def result_from_ndjson(lines: Iterable[Union[str, bytes]]) -> Dict[str, object]:
     that died mid-stream cannot silently pass off a partial group set
     as a complete result.
     """
-    envelope: Optional[Dict[str, object]] = None
-    groups: List[object] = []
-    for raw in lines:
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-        if not text.strip():
-            continue
-        try:
-            record = json.loads(text)
-        except ValueError as exc:
-            raise SpecValidationError(f"malformed NDJSON line: {exc}") from exc
-        kind = record.get("kind") if isinstance(record, dict) else None
-        if envelope is None:
-            if kind != "result":
-                raise SpecValidationError(
-                    f"NDJSON stream must start with the result envelope, got {kind!r}"
-                )
-            envelope = {
-                key: value
-                for key, value in record.items()
-                if key not in ("kind", "n_groups")
-            }
-            envelope["_expected_groups"] = int(record.get("n_groups", 0))
-        elif kind == "group":
-            groups.append(record.get("group"))
-        else:
-            raise SpecValidationError(f"unexpected NDJSON record kind {kind!r}")
-    if envelope is None:
-        raise SpecValidationError("empty NDJSON stream")
-    expected = envelope.pop("_expected_groups")
-    if len(groups) != expected:
-        raise SpecValidationError(
-            f"truncated NDJSON stream: expected {expected} groups, got {len(groups)}"
-        )
-    envelope["groups"] = groups
+    records = _ndjson_records(lines, "result", "n_groups", "group")
+    envelope = next(records)
+    envelope["groups"] = [record.get("group") for record in records]
     return envelope
 
 
@@ -339,6 +365,8 @@ def list_subscriptions(server, corpus: str) -> List[Dict[str, object]]:
 
 
 def _subscription_diffs(server, corpus: str, subscription_id: str, from_seq: int):
+    if int(from_seq) < 1:
+        raise SpecValidationError(f"from_seq must be >= 1, got {from_seq}")
     shard = _shard(server, corpus)
     store = shard.session.store
     try:
@@ -354,6 +382,16 @@ def _subscription_diffs(server, corpus: str, subscription_id: str, from_seq: int
             details={"corpus": corpus, "subscription_id": subscription_id},
         ) from None
     return row, diffs
+
+
+def _delivered_diff(entry: Mapping[str, object]) -> Dict[str, object]:
+    """The wire form of one ledger entry (poll payload and NDJSON record)."""
+    return {
+        "seq": entry["seq"],
+        "watermark": entry["watermark"],
+        "epoch": entry["epoch"],
+        "diff": entry["diff"],
+    }
 
 
 def poll_subscription(
@@ -372,15 +410,7 @@ def poll_subscription(
         "from_seq": int(from_seq),
         "last_seq": row["last_seq"],
         "watermark": row["last_watermark"],
-        "diffs": [
-            {
-                "seq": entry["seq"],
-                "watermark": entry["watermark"],
-                "epoch": entry["epoch"],
-                "diff": entry["diff"],
-            }
-            for entry in diffs
-        ],
+        "diffs": [_delivered_diff(entry) for entry in diffs],
     }
 
 
@@ -405,74 +435,49 @@ def subscription_ndjson_lines(
         "last_seq": row["last_seq"],
         "watermark": row["last_watermark"],
     }
-    yield json.dumps(envelope).encode("utf-8") + b"\n"
-    for entry in diffs:
-        record = {
-            "kind": "diff",
-            "seq": entry["seq"],
-            "watermark": entry["watermark"],
-            "epoch": entry["epoch"],
-            "diff": entry["diff"],
-        }
-        yield json.dumps(record).encode("utf-8") + b"\n"
+    return _ndjson_frame(
+        envelope, ({"kind": "diff", **_delivered_diff(entry)} for entry in diffs)
+    )
 
 
-def diffs_from_ndjson(lines: Iterable[Union[str, bytes]]) -> Dict[str, object]:
+def diffs_from_ndjson(
+    lines: Iterable[Union[str, bytes]],
+    sink: Optional[List[Dict[str, object]]] = None,
+) -> Dict[str, object]:
     """Reassemble the payload :func:`subscription_ndjson_lines` produced.
 
     Raises :class:`SpecValidationError` on a malformed or truncated
     stream (wrong first line, diff-count mismatch, non-contiguous
     seqs), so a connection that died mid-stream can never pass off a
-    partial diff suffix as complete -- the client reconnects and
-    resumes from its last *acked* seq instead.
+    partial diff suffix as complete.
+
+    Each diff is appended to ``sink`` (a fresh list by default) as soon
+    as its line is validated, seq contiguity included, and the
+    returned payload's ``diffs`` is that same list.  So when the stream
+    dies mid-transfer, ``sink`` holds exactly the diffs that arrived
+    whole, and a reader can resume from the seq after the last one
+    (see :meth:`~repro.api.client.HttpClient.follow_subscription`).
     """
-    envelope: Optional[Dict[str, object]] = None
-    diffs: List[Dict[str, object]] = []
-    for raw in lines:
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-        if not text.strip():
-            continue
-        try:
-            record = json.loads(text)
-        except ValueError as exc:
-            raise SpecValidationError(f"malformed NDJSON line: {exc}") from exc
-        kind = record.get("kind") if isinstance(record, dict) else None
-        if envelope is None:
-            if kind != "diffs":
-                raise SpecValidationError(
-                    f"NDJSON stream must start with the diffs envelope, got {kind!r}"
-                )
-            envelope = {
-                key: value
-                for key, value in record.items()
-                if key not in ("kind", "n_diffs")
-            }
-            envelope["_expected_diffs"] = int(record.get("n_diffs", 0))
-        elif kind == "diff":
-            diffs.append(
-                {
-                    "seq": int(record["seq"]),
-                    "watermark": int(record["watermark"]),
-                    "epoch": int(record["epoch"]),
-                    "diff": record.get("diff"),
-                }
-            )
-        else:
-            raise SpecValidationError(f"unexpected NDJSON record kind {kind!r}")
-    if envelope is None:
-        raise SpecValidationError("empty NDJSON stream")
-    expected = envelope.pop("_expected_diffs")
-    if len(diffs) != expected:
-        raise SpecValidationError(
-            f"truncated NDJSON stream: expected {expected} diffs, got {len(diffs)}"
-        )
+    diffs: List[Dict[str, object]] = [] if sink is None else sink
+    records = _ndjson_records(lines, "diffs", "n_diffs", "diff")
+    envelope = next(records)
     start = int(envelope.get("from_seq", 1))
-    for offset, entry in enumerate(diffs):
+    for offset, record in enumerate(records):
+        try:
+            entry = {
+                "seq": int(record["seq"]),
+                "watermark": int(record["watermark"]),
+                "epoch": int(record["epoch"]),
+                "diff": record.get("diff"),
+            }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecValidationError(f"malformed NDJSON diff record: {exc!r}") from exc
         if entry["seq"] != start + offset:
             raise SpecValidationError(
                 f"non-contiguous diff stream: expected seq {start + offset}, "
                 f"got {entry['seq']}"
             )
+        diffs.append(entry)
     envelope["diffs"] = diffs
     return envelope
 

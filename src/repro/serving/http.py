@@ -333,14 +333,11 @@ class _Handler(BaseHTTPRequestHandler):
         query = dict(urllib.parse.parse_qsl(raw_query))
         raw = query.get("from_seq", "1")
         try:
-            from_seq = int(raw)
+            return int(raw)
         except ValueError:
             raise SpecValidationError(
                 f"from_seq must be an integer, got {raw!r}"
             ) from None
-        if from_seq < 1:
-            raise SpecValidationError(f"from_seq must be >= 1, got {from_seq}")
-        return from_seq
 
     def _solve_query(self) -> Tuple[Optional[PageSpec], bool]:
         """Decode the solve route's result-shaping query parameters."""

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import threading
 import time
 import urllib.parse
@@ -69,19 +68,10 @@ from repro.api.errors import (
     WorkerUnavailableError,
     retry_after_header,
 )
+from repro.serving.http import _CORPUS_ROUTE, _SUBSCRIPTION_ROUTE, MAX_BODY_BYTES
 from repro.serving.reliability import CircuitBreaker, RetryBudget
 
 __all__ = ["PlacementTable", "TagDMRouter"]
-
-_CORPUS_ROUTE = re.compile(r"\A/corpora/(?P<name>[A-Za-z0-9._~%-]+)/(?P<verb>[a-z]+)\Z")
-_SUBSCRIPTION_ROUTE = re.compile(
-    r"\A/corpora/(?P<name>[A-Za-z0-9._~%-]+)/subscriptions/"
-    r"(?P<sub>[A-Za-z0-9._~%-]+)(?P<stream>/stream)?\Z"
-)
-
-#: Forwarded request bodies above this size are rejected up front
-#: (mirrors ``repro.serving.http.MAX_BODY_BYTES``).
-MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 def _rendezvous_score(worker_id: str, corpus: str) -> int:

@@ -330,6 +330,10 @@ class TestNdjsonStream:
         lines[1] = b"{not json\n"
         with pytest.raises(SpecValidationError):
             diffs_from_ndjson(lines)
+        entries = self._diff_entries(2)
+        del entries[1]["epoch"]
+        with pytest.raises(SpecValidationError):
+            diffs_from_ndjson(self._ledger_lines(entries))
 
 
 class TestHttpStreamReconnect:
@@ -379,6 +383,36 @@ class TestHttpStreamReconnect:
             client.stream_subscription("movies", "wired")
         client.close()
         front.stop()
+        server.close()
+
+    def test_follow_subscription_raises_error_responses_without_retrying(
+        self, tmp_path
+    ):
+        """A 422 is the server's answer, not a broken stream: it surfaces
+        as its typed error after exactly one request."""
+        server, _expected = self._serving_stack(tmp_path, n_batches=1)
+        front = TagDMHttpServer(server).start()
+        client = HttpClient(front.url, request_timeout=60.0)
+        with pytest.raises(SpecValidationError, match="from_seq"):
+            client.follow_subscription("movies", "wired", from_seq=0)
+        pool = client.pool.stats()
+        assert pool["opened"] + pool["reused"] == 1
+        client.close()
+        front.stop()
+        server.close()
+
+    @pytest.mark.parametrize("backend", ["server", "http"])
+    def test_every_backend_rejects_from_seq_below_one(self, tmp_path, backend):
+        server, _expected = self._serving_stack(tmp_path, n_batches=1)
+        front = TagDMHttpServer(server).start() if backend == "http" else None
+        client = ServerClient(server) if front is None else HttpClient(front.url)
+        with pytest.raises(SpecValidationError, match="from_seq"):
+            client.poll_subscription("movies", "wired", from_seq=0)
+        with pytest.raises(SpecValidationError, match="from_seq"):
+            client.stream_subscription("movies", "wired", from_seq=-3)
+        client.close()
+        if front is not None:
+            front.stop()
         server.close()
 
     def test_follow_subscription_resumes_from_last_acked_seq(self, tmp_path):

@@ -100,13 +100,6 @@ class TestPerfReportQuick:
         assert fleet["groups_returned"] > 0
         assert fleet["cpu_count"] >= 1
 
-    def test_http_pooling_fields(self, quick_report):
-        _perf_report, report = quick_report
-        http = report["http"]
-        assert http["stats_pooled_ms"] > 0
-        assert http["stats_unpooled_ms"] > 0
-        assert http["unpooled_solve_ms"] > 0
-
     def test_reliability_section(self, quick_report):
         """The kill drill must land every keyed insert exactly once and
         the admission gate must shed without leaking into the store."""
