@@ -1,4 +1,4 @@
-"""Performance report: kernels (PR 1), persistence (PR 2), serving (PR 3), HTTP (PR 4), fleet (PR 5), reliability (PR 6), HTAP (PR 7), subscriptions (PR 10).
+"""Performance report: kernels (PR 1), persistence (PR 2), serving (PR 3), HTTP (PR 4), fleet (PR 5), reliability (PR 6), HTAP (PR 7), subscriptions (PR 10), incremental inserts.
 
 Times the vectorized kernels against the retained naive seed
 implementations (:mod:`repro.geometry.reference`), measures the
@@ -31,17 +31,19 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_report.py --quick    # smoke mode, seconds not minutes
     PYTHONPATH=src python benchmarks/perf_report.py --output /tmp/bench.json
 
-Report schema (``schema_version`` 8; older reports lack the newer
+Report schema (``schema_version`` 9; older reports lack the newer
 sections -- v1 has no ``persistence``/``serving``/``http``/``fleet``/
-``reliability``/``htap``/``subscriptions``, v2 no ``serving``/``http``/
-``fleet``/``reliability``/``htap``/``subscriptions``, v3 no ``http``/
-``fleet``/``reliability``/``htap``/``subscriptions``, v4 no ``fleet``/
-``reliability``/``htap``/``subscriptions``, v5 no ``reliability``/
-``htap``/``subscriptions``, v6 no ``htap``/``subscriptions``, v7 no
-``subscriptions`` -- and all still validate)::
+``reliability``/``htap``/``subscriptions``/``incremental``, v2 no
+``serving``/``http``/``fleet``/``reliability``/``htap``/``subscriptions``/
+``incremental``, v3 no ``http``/``fleet``/``reliability``/``htap``/
+``subscriptions``/``incremental``, v4 no ``fleet``/``reliability``/
+``htap``/``subscriptions``/``incremental``, v5 no ``reliability``/
+``htap``/``subscriptions``/``incremental``, v6 no ``htap``/
+``subscriptions``/``incremental``, v7 no ``subscriptions``/
+``incremental``, v8 no ``incremental`` -- and all still validate)::
 
     {
-      "schema_version": 8,
+      "schema_version": 9,
       "pr": "PR7",
       "mode": "full" | "quick",
       "kernels": {
@@ -112,6 +114,13 @@ sections -- v1 has no ``persistence``/``serving``/``http``/``fleet``/
         "lost_diffs": int, "duplicated_diffs": int,
         "warm_solve_ms": float, "cold_replay_ms": float,
         "incremental_speedup": float, "parity": bool
+      },
+      "incremental": {
+        "rungs": [{"tuples": int, "groups": int, "inserts": int,
+                    "apply_p50_ms": float, "apply_p90_ms": float,
+                    "first_solve_p50_ms": float,
+                    "first_solve_p90_ms": float, "parity": bool}],
+        "apply_p50_growth": float, "tuples_growth": float, "parity": bool
       }
     }
 
@@ -151,6 +160,11 @@ composed diff chain delivered by the ledger *and* the warm solve to
 agree byte-identically (under canonical JSON, volatile fields
 stripped) with that cold replay; ``lost_diffs``/``duplicated_diffs``
 audit the ledger seqs for exactly-once visible delivery.
+
+``incremental`` is the insert ladder: single-action apply p50/p90 and
+the first solve on the view frozen after each insert, per corpus size.
+Its ``parity`` requires the maintained groups to equal a from-scratch
+rebuild of their rows at every rung.
 """
 
 from __future__ import annotations
@@ -183,7 +197,7 @@ from repro.geometry.reference import (  # noqa: E402
 )
 from repro.index.lsh import CosineLshIndex  # noqa: E402
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 def best_of(repeats: int, fn: Callable[[], object]) -> float:
@@ -1419,6 +1433,85 @@ def bench_subscriptions(quick: bool) -> Dict:
 # ----------------------------------------------------------------------
 # End-to-end scaling sweep (Figure 7 bins)
 # ----------------------------------------------------------------------
+# ----------------------------------------------------------------------
+# Incremental inserts: single-action cost against corpus size
+# ----------------------------------------------------------------------
+def bench_incremental(quick: bool) -> Dict:
+    """Single-action insert cost, and the first solve after it, per corpus size.
+
+    Each rung prepares a corpus with the serving bench's configuration
+    (``min_support=5``, ``max_groups=60``, seed 42) and replays the same
+    ``inserts`` single-action inserts twice: once untimed (a group's tag
+    counts are built from its tags on its first touch) and once timed.
+    Each timed ``add_action`` is followed by freezing a view and timing
+    its first ``sm-lsh-fo`` solve of Table-1 problem 1, which builds the
+    view's pairwise matrices and LSH index.  Maintaining per-group tag
+    counts keeps the apply p50 nearly flat across rungs; what still
+    grows is the C-level copy of each touched group's ``tags`` and
+    ``tuple_indices`` tuples.  ``parity`` requires every rung's
+    maintained groups to equal a from-scratch rebuild of their rows
+    (``consistency_errors() == []``).
+    """
+    from repro.core.enumeration import GroupEnumerationConfig
+    from repro.core.incremental import IncrementalTagDM
+    from repro.core.problem import table1_problem
+    from repro.dataset.synthetic import generate_movielens_style
+
+    if quick:
+        sizes, n_inserts = (500, 1000), 15
+    else:
+        sizes, n_inserts = (1000, 4000, 16000), 40
+    rungs: List[Dict] = []
+    for n_actions in sizes:
+        dataset = generate_movielens_style(
+            n_users=60, n_items=120, n_actions=n_actions, seed=42
+        )
+        session = IncrementalTagDM(
+            dataset,
+            enumeration=GroupEnumerationConfig(min_support=5, max_groups=60),
+            seed=42,
+        ).prepare()
+        problem = table1_problem(1, k=3, min_support=session.default_support())
+        actions = [
+            {
+                "user_id": dataset.user_of(row),
+                "item_id": dataset.item_of(row),
+                "tags": list(dataset.tags_of(row)) + [f"ladder-{row}"],
+            }
+            for row in range(n_inserts)
+        ]
+        for action in actions:
+            session.add_action(**action)
+        apply_ms: List[float] = []
+        solve_ms: List[float] = []
+        for epoch, action in enumerate(actions, start=1):
+            started = time.perf_counter()
+            session.add_action(**action)
+            apply_ms.append((time.perf_counter() - started) * 1e3)
+            view = session.freeze(epoch=epoch)
+            started = time.perf_counter()
+            view.solve(problem, algorithm="sm-lsh-fo")
+            solve_ms.append((time.perf_counter() - started) * 1e3)
+        rungs.append(
+            {
+                "tuples": n_actions,
+                "groups": session.n_groups,
+                "inserts": n_inserts,
+                "apply_p50_ms": float(np.percentile(apply_ms, 50)),
+                "apply_p90_ms": float(np.percentile(apply_ms, 90)),
+                "first_solve_p50_ms": float(np.percentile(solve_ms, 50)),
+                "first_solve_p90_ms": float(np.percentile(solve_ms, 90)),
+                "parity": session.consistency_errors() == [],
+            }
+        )
+    return {
+        "rungs": rungs,
+        "apply_p50_growth": rungs[-1]["apply_p50_ms"] / rungs[0]["apply_p50_ms"],
+        "tuples_growth": rungs[-1]["tuples"] / rungs[0]["tuples"],
+        "parity": all(rung["parity"] for rung in rungs),
+    }
+
+
 def bench_scaling(quick: bool) -> List[Dict]:
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import build_dataset, build_problem, build_session, run_algorithm
@@ -1501,6 +1594,7 @@ def generate_report(quick: bool) -> Dict:
         "reliability": bench_reliability(quick),
         "htap": bench_htap(quick),
         "subscriptions": bench_subscriptions(quick),
+        "incremental": bench_incremental(quick),
     }
 
 
@@ -1508,11 +1602,11 @@ def validate_report(report: Dict) -> None:
     """Assert the report matches the documented schema (used by tests).
 
     Accepts every committed generation: v1 (kernels + scaling only;
-    ``BENCH_PR1.json``) through v7 (no ``subscriptions``;
-    ``BENCH_PR7.json``) and current v8 reports -- each version adds one
+    ``BENCH_PR1.json``) through v8 (no ``incremental``;
+    ``BENCH_PR10.json``) and current v9 reports -- each version adds one
     section and all older reports still validate.
     """
-    assert report["schema_version"] in (1, 2, 3, 4, 5, 6, 7, SCHEMA_VERSION)
+    assert report["schema_version"] in (1, 2, 3, 4, 5, 6, 7, 8, SCHEMA_VERSION)
     assert report["mode"] in ("full", "quick")
     assert isinstance(report["kernels"], dict) and report["kernels"]
     for name, entry in report["kernels"].items():
@@ -1706,6 +1800,31 @@ def validate_report(report: Dict) -> None:
         assert subscriptions["incremental_speedup"] > 1.0, (
             "warm standing-query solve did not beat the from-scratch replay"
         )
+    if report["schema_version"] >= 9:
+        incremental = report["incremental"]
+        for field in ("rungs", "apply_p50_growth", "tuples_growth", "parity"):
+            assert field in incremental, f"incremental missing {field}"
+        assert isinstance(incremental["rungs"], list) and len(incremental["rungs"]) >= 2
+        for rung in incremental["rungs"]:
+            for field in (
+                "tuples",
+                "groups",
+                "inserts",
+                "apply_p50_ms",
+                "apply_p90_ms",
+                "first_solve_p50_ms",
+                "first_solve_p90_ms",
+                "parity",
+            ):
+                assert field in rung, f"incremental rung missing {field}"
+            assert 0 < rung["apply_p50_ms"] <= rung["apply_p90_ms"]
+            assert 0 < rung["first_solve_p50_ms"] <= rung["first_solve_p90_ms"]
+            assert rung["parity"] is True, (
+                f"maintained groups at {rung['tuples']} tuples differ from a rebuild"
+            )
+        tuples = [rung["tuples"] for rung in incremental["rungs"]]
+        assert tuples == sorted(set(tuples)), "incremental rungs must grow in size"
+        assert incremental["parity"] is True
 
 
 def main(argv=None) -> int:
@@ -1813,6 +1932,19 @@ def main(argv=None) -> int:
         f"{subscriptions['cold_replay_ms']:.1f} ms "
         f"({subscriptions['incremental_speedup']:.1f}x, "
         f"parity={subscriptions['parity']})"
+    )
+    incremental = report["incremental"]
+    ladder = ", ".join(
+        f"{rung['tuples']} tuples: apply p50/p90 "
+        f"{rung['apply_p50_ms']:.2f}/{rung['apply_p90_ms']:.2f} ms, "
+        f"first solve p50 {rung['first_solve_p50_ms']:.1f} ms"
+        for rung in incremental["rungs"]
+    )
+    print(
+        f"incremental: {ladder}; apply p50 grew "
+        f"{incremental['apply_p50_growth']:.2f}x over "
+        f"{incremental['tuples_growth']:.0f}x tuples, "
+        f"parity={incremental['parity']}"
     )
     print(f"wrote {args.output}")
     return 0

@@ -10,14 +10,23 @@ arrive, without re-running the full enumeration + summarisation pipeline:
 * a new action is appended to the underlying dataset (registering the
   user/item on first sight);
 * only the describable groups whose conjunctive description matches the
-  new tuple are touched -- their member lists, tag multisets and
-  signatures are refreshed, and brand-new groups are created the moment
-  a description crosses the minimum-support threshold;
-* the topic model fitted during the initial :meth:`prepare` is kept and
-  only re-vectorises the affected groups, so an insert costs a handful
-  of signature inferences instead of a full refit (the model can be
-  refitted explicitly with :meth:`refresh_topic_model` when drift
-  accumulates);
+  new tuple are touched, and brand-new groups are created the moment a
+  description crosses the minimum-support threshold;
+* a touched group is replaced by the old group plus the new tuple, in
+  work proportional to the tuple, not to the group: the tuple's tags
+  are normalised once into a count vector
+  (:meth:`~repro.text.topics.TopicModel.tag_counts`), added to each
+  touched group's maintained counts, and the signature is renormalised
+  from those counts; member rows, user/item sets and the tag multiset
+  are extended, never re-collected.  The counts are built lazily from
+  a group's tags on its first touch and kept only in memory;
+* backends whose signature is not a function of tag counts (LDA) take
+  the rebuild path instead: the touched group is re-collected from its
+  rows and its signature re-inferred.  Group creation always builds
+  from rows;
+* the topic model fitted during the initial :meth:`prepare` is kept (it
+  can be refitted explicitly with :meth:`refresh_topic_model` when drift
+  accumulates, which also drops the maintained counts);
 * the shared pairwise-matrix cache (and the session's cached LSH
   indexes) are invalidated because a changed signature perturbs one
   row/column of every matrix.
@@ -35,6 +44,8 @@ from __future__ import annotations
 import threading
 from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.enumeration import GroupEnumerationConfig
 from repro.core.framework import TagDM
@@ -344,6 +355,11 @@ class IncrementalTagDM:
         # support yet, keyed by that description.
         self._pending: Dict[GroupDescription, List[int]] = {}
         self._group_index: Dict[GroupDescription, int] = {}
+        # Tag-count vectors (TopicModel.tag_counts) of maintained groups,
+        # built on a group's first touch and advanced by each inserted
+        # row's counts.  Valid only for the fitted topic model, so
+        # prepare() and refresh_topic_model() drop them.
+        self._tag_counts: Dict[GroupDescription, np.ndarray] = {}
         # Called with the merged IncrementalUpdateReport after every
         # committed insert call (single or batch).  The serving layer uses
         # this to drive its snapshot-rotation policy without wrapping the
@@ -379,6 +395,7 @@ class IncrementalTagDM:
             for position, group in enumerate(self.session.groups)
         }
         self._pending = {}
+        self._tag_counts = {}
         self._seed_pending_from_dataset()
         return self
 
@@ -448,9 +465,7 @@ class IncrementalTagDM:
         columns = (
             tuple(config.columns) if config.columns is not None else self.dataset.columns
         )
-        return [
-            (column, self.dataset.column_values(column)[row]) for column in columns
-        ]
+        return [(column, self.dataset.column_value(column, row)) for column in columns]
 
     def _descriptions_for_row(self, row: int) -> List[GroupDescription]:
         """Every candidate description the tuple at ``row`` belongs to."""
@@ -480,6 +495,7 @@ class IncrementalTagDM:
     # Group maintenance
     # ------------------------------------------------------------------
     def _rebuild_group(self, description: GroupDescription, rows: Sequence[int]) -> TaggingActionGroup:
+        """Build a group from its rows (creation, LDA updates, the oracle)."""
         rows = tuple(sorted(int(r) for r in rows))
         group = TaggingActionGroup(
             description=description,
@@ -491,12 +507,53 @@ class IncrementalTagDM:
         group.signature = self.session.signature_builder.signature(group)
         return group
 
-    def _touch_group(self, description: GroupDescription, row: int, report: IncrementalUpdateReport) -> None:
+    def _extend_group(
+        self, group: TaggingActionGroup, row: int, row_counts: np.ndarray
+    ) -> TaggingActionGroup:
+        """``group`` plus the appended tuple ``row``, without a row loop.
+
+        Equal, field by field and signature byte by byte, to
+        ``_rebuild_group(group.description, group.tuple_indices + (row,))``:
+        rows are append-only, so ``row`` sorts last, and the signature is
+        a function of the summed counts.  A replacement object, never a
+        mutation -- published views may still hold ``group``.
+        """
+        model = self.session.signature_builder.topic_model
+        counts = self._tag_counts.get(group.description)
+        if counts is None:
+            counts = model.tag_counts(group.tags)
+        counts = counts + row_counts
+        user, item = self.dataset.user_of(row), self.dataset.item_of(row)
+        extended = TaggingActionGroup(
+            description=group.description,
+            tuple_indices=group.tuple_indices + (row,),
+            user_ids=group.user_ids if user in group.user_ids else group.user_ids | {user},
+            item_ids=group.item_ids if item in group.item_ids else group.item_ids | {item},
+            tags=group.tags + self.dataset.tags_of(row),
+            signature=np.asarray(model.signature_from_counts(counts), dtype=float),
+        )
+        self._tag_counts[group.description] = counts
+        return extended
+
+    def _touch_group(
+        self,
+        description: GroupDescription,
+        row: int,
+        row_counts: Optional[np.ndarray],
+        report: IncrementalUpdateReport,
+    ) -> None:
         position = self._group_index.get(description)
         if position is not None:
             existing = self.session.groups[position]
-            rows = existing.tuple_indices + (row,)
-            self.session.groups[position] = self._rebuild_group(description, rows)
+            if row_counts is None:
+                # The topic model's signature is not a function of tag
+                # counts (LDA): the one rebuild-from-rows update path.
+                replacement = self._rebuild_group(
+                    description, existing.tuple_indices + (row,)
+                )
+            else:
+                replacement = self._extend_group(existing, row, row_counts)
+            self.session.groups[position] = replacement
             report.groups_updated += 1
             return
 
@@ -607,8 +664,13 @@ class IncrementalTagDM:
         row = self.dataset.add_action(user_id, item_id, tags, rating)
         report.actions_added = 1
 
+        # The row's tags are normalised once here, whatever the number
+        # and size of the groups it lands in.
+        row_counts = self.session.signature_builder.topic_model.tag_counts(
+            self.dataset.tags_of(row)
+        )
         for description in self._descriptions_for_row(row):
-            self._touch_group(description, row, report)
+            self._touch_group(description, row, row_counts, report)
 
         report.pending_descriptions = len(self._pending)
         return report
@@ -737,6 +799,7 @@ class IncrementalTagDM:
         builder.build(replacements)
         self.session.groups[:] = replacements
         self.session.signature_builder = builder
+        self._tag_counts = {}
         self._invalidate_derived_state()
 
     def snapshot(self, path) -> "IncrementalTagDM":
@@ -752,11 +815,17 @@ class IncrementalTagDM:
         return self
 
     def consistency_errors(self) -> List[str]:
-        """Compare maintained groups against a from-scratch enumeration.
+        """Compare maintained state against a from-scratch build.
 
-        Returns human-readable discrepancies (empty list when consistent).
-        Used by tests and available to callers as a safety net after large
-        batches of inserts.
+        Group membership is checked against a fresh enumeration of the
+        dataset.  Then every maintained group is checked against
+        :meth:`_rebuild_group` over its own rows: user and item sets,
+        the tag multiset (in row order) and the signature bytes, so an
+        incrementally maintained signature that drifted from the rebuild
+        shows up here.  Returns human-readable discrepancies, each naming
+        the group and its first differing field (empty list when
+        consistent).  Used by tests and available to callers as a safety
+        net after large batches of inserts.
         """
         import dataclasses
 
@@ -781,4 +850,27 @@ class IncrementalTagDM:
                 errors.append(f"unexpected group {description}")
             elif expected[description] != rows:
                 errors.append(f"member mismatch for {description}")
+        for group in self.session.groups:
+            rebuilt = self._rebuild_group(group.description, group.tuple_indices)
+            field = _first_differing_field(group, rebuilt)
+            if field is not None:
+                errors.append(f"{field} mismatch for {group.description}")
         return errors
+
+
+def _first_differing_field(
+    group: TaggingActionGroup, rebuilt: TaggingActionGroup
+) -> Optional[str]:
+    """The first of the derived fields on which two groups disagree."""
+    for field in ("tuple_indices", "user_ids", "item_ids", "tags"):
+        if getattr(group, field) != getattr(rebuilt, field):
+            return field
+    signature, expected = group.signature, rebuilt.signature
+    if (
+        signature is None
+        or signature.dtype != expected.dtype
+        or signature.shape != expected.shape
+        or signature.tobytes() != expected.tobytes()
+    ):
+        return "signature"
+    return None

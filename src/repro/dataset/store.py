@@ -308,6 +308,12 @@ class TaggingDataset:
         """Return the item id of the action at ``index``."""
         return self._item_ids[index]
 
+    def column_value(self, column: str, index: int) -> str:
+        """Return one tuple's value of a prefixed attribute (no column copy)."""
+        if column not in self._columns:
+            raise KeyError(f"unknown column {column!r}")
+        return self._columns[column][index]
+
     def column_values(self, column: str) -> List[str]:
         """Return the full column of values for a prefixed attribute."""
         if column not in self._columns:

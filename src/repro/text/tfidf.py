@@ -91,22 +91,42 @@ class TfIdfVectorizer:
         self.idf_ = np.log((1.0 + self._n_documents) / (1.0 + df)) + 1.0
         return self
 
-    def transform(self, documents: Sequence[Iterable[str]]) -> np.ndarray:
-        """Transform tag documents into a dense ``(n, n_features)`` matrix."""
+    def counts(self, documents: Sequence[Iterable[str]]) -> np.ndarray:
+        """Raw in-vocabulary term counts as a dense ``(n, n_features)`` matrix."""
         if self.idf_ is None:
             raise RuntimeError("TfIdfVectorizer must be fitted before transform")
         matrix = np.zeros((len(documents), self.n_features), dtype=float)
         for row, document in enumerate(documents):
-            tokens = self._prepare(document)
-            counts = Counter(token for token in tokens if token in self.vocabulary_)
-            for token, count in counts.items():
-                column = self.vocabulary_[token]
-                tf = 1.0 + np.log(count) if self.sublinear_tf else float(count)
-                matrix[row, column] = tf * self.idf_[column]
+            for token in self._prepare(document):
+                column = self.vocabulary_.get(token)
+                if column is not None:
+                    matrix[row, column] += 1.0
+        return matrix
+
+    def weigh(self, counts: np.ndarray) -> np.ndarray:
+        """Turn an ``(n, n_features)`` count matrix into tf*idf rows.
+
+        The only weighting code path: :meth:`transform` runs it on
+        freshly counted documents, and callers that maintain counts
+        themselves (incremental signature upkeep) run it on theirs, so
+        both produce the same bytes for the same counts.
+        """
+        if self.idf_ is None:
+            raise RuntimeError("TfIdfVectorizer must be fitted before transform")
+        counts = np.asarray(counts, dtype=float)
+        matrix = np.zeros(counts.shape, dtype=float)
+        present = counts > 0
+        hits = counts[present]
+        tf = 1.0 + np.log(hits) if self.sublinear_tf else hits
+        matrix[present] = tf * np.broadcast_to(self.idf_, counts.shape)[present]
         if self.normalize:
             norms = np.linalg.norm(matrix, axis=1, keepdims=True)
             np.divide(matrix, norms, out=matrix, where=norms > 0)
         return matrix
+
+    def transform(self, documents: Sequence[Iterable[str]]) -> np.ndarray:
+        """Transform tag documents into a dense ``(n, n_features)`` matrix."""
+        return self.weigh(self.counts(documents))
 
     def fit_transform(self, documents: Sequence[Iterable[str]]) -> np.ndarray:
         """Fit the vocabulary and return the transformed matrix."""

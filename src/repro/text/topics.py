@@ -115,12 +115,32 @@ class TopicModel(ABC):
     def dimension_labels(self) -> List[str]:
         """Human-readable label of each vector dimension."""
 
+    def tag_counts(self, tags: Iterable[str]) -> Optional[np.ndarray]:
+        """Count vector of a tag multiset, or ``None``.
+
+        Backends whose signature is a function of per-token counts
+        return them here, and :meth:`signature_from_counts` turns a
+        count vector into the signature.  Counts of a multiset union
+        are the sum of the parts' counts, so incremental maintenance can
+        add one new tuple's counts to a group's running total instead of
+        re-vectorising the group's whole tag multiset.  A backend that
+        does not declare its signature a function of counts returns
+        ``None`` (the default here), and callers rebuild from the tags.
+        """
+        return None
+
+    def signature_from_counts(self, counts: np.ndarray) -> np.ndarray:
+        """Turn a :meth:`tag_counts` vector into the signature vector."""
+        raise NotImplementedError(
+            f"{self.name} signatures are not a function of tag counts"
+        )
+
     def vectorize_many(self, documents: Sequence[Iterable[str]]) -> np.ndarray:
         """Vectorise a batch of tag multisets into an ``(n, d)`` matrix.
 
         The base implementation loops over :meth:`vectorize`; backends
-        with a cheaper batch path (frequency counting, tf*idf transform)
-        override this to build the whole matrix in one shot.  Results are
+        with a cheaper batch path (the tf*idf transform) override this
+        to build the whole matrix in one shot.  Results are
         identical to the per-document path either way.
         """
         if not documents:
@@ -162,39 +182,31 @@ class FrequencyTopicModel(TopicModel):
         self._vocabulary = {token: index for index, (token, _) in enumerate(top)}
         return self
 
-    def vectorize(self, tags: Iterable[str]) -> np.ndarray:
+    def tag_counts(self, tags: Iterable[str]) -> np.ndarray:
+        """Integer occurrence count of every vocabulary tag in ``tags``."""
         if not self._vocabulary:
             raise RuntimeError("FrequencyTopicModel must be fitted before use")
-        vector = np.zeros(self._n_dimensions, dtype=float)
-        for token in self._prepare(tags):
-            index = self._vocabulary.get(token)
-            if index is not None:
-                vector[index] += 1.0
-        total = vector.sum()
-        if total > 0:
-            vector /= total
-        return vector
+        indices = [
+            self._vocabulary[token]
+            for token in self._prepare(tags)
+            if token in self._vocabulary
+        ]
+        return np.bincount(
+            np.asarray(indices, dtype=np.intp), minlength=self._n_dimensions
+        )
 
-    def vectorize_many(self, documents: Sequence[Iterable[str]]) -> np.ndarray:
-        """Batch counting: one scatter-add and one normalisation pass."""
-        if not self._vocabulary:
-            raise RuntimeError("FrequencyTopicModel must be fitted before use")
-        if not documents:
-            return np.zeros((0, self._n_dimensions))
-        rows: List[int] = []
-        columns: List[int] = []
-        for row, document in enumerate(documents):
-            for token in self._prepare(document):
-                index = self._vocabulary.get(token)
-                if index is not None:
-                    rows.append(row)
-                    columns.append(index)
-        matrix = np.zeros((len(documents), self._n_dimensions), dtype=float)
-        if rows:
-            np.add.at(matrix, (rows, columns), 1.0)
-        totals = matrix.sum(axis=1, keepdims=True)
-        np.divide(matrix, totals, out=matrix, where=totals > 0)
-        return matrix
+    def signature_from_counts(self, counts: np.ndarray) -> np.ndarray:
+        """L1-normalise a count vector.
+
+        Integer counts make the total exact, so the signature of a group
+        is bit-identical however its counts were accumulated.
+        """
+        vector = np.array(counts, dtype=float)
+        total = vector.sum()
+        return vector / total if total > 0 else vector
+
+    def vectorize(self, tags: Iterable[str]) -> np.ndarray:
+        return self.signature_from_counts(self.tag_counts(tags))
 
     def dimension_labels(self) -> List[str]:
         ordered = sorted(self._vocabulary.items(), key=lambda pair: pair[1])
@@ -230,11 +242,21 @@ class TfIdfTopicModel(TopicModel):
         self._vectorizer.fit(prepared)
         return self
 
+    def _pad(self, matrix: np.ndarray) -> np.ndarray:
+        """Zero-pad columns up to ``n_dimensions`` (small vocabularies)."""
+        missing = self._n_dimensions - matrix.shape[1]
+        return np.pad(matrix, ((0, 0), (0, missing))) if missing > 0 else matrix
+
+    def tag_counts(self, tags: Iterable[str]) -> np.ndarray:
+        """Occurrence count of every vocabulary tag in ``tags``."""
+        return self._vectorizer.counts([self._prepare(tags)])[0]
+
+    def signature_from_counts(self, counts: np.ndarray) -> np.ndarray:
+        """Weigh one count vector through the vectoriser's tf*idf path."""
+        return self._pad(self._vectorizer.weigh(np.asarray(counts)[np.newaxis, :]))[0]
+
     def vectorize(self, tags: Iterable[str]) -> np.ndarray:
-        vector = self._vectorizer.transform([self._prepare(tags)])[0]
-        if vector.shape[0] < self._n_dimensions:
-            vector = np.pad(vector, (0, self._n_dimensions - vector.shape[0]))
-        return vector
+        return self.signature_from_counts(self.tag_counts(tags))
 
     def vectorize_many(self, documents: Sequence[Iterable[str]]) -> np.ndarray:
         """Batch tf*idf: one transform call over all documents.
@@ -244,14 +266,11 @@ class TfIdfTopicModel(TopicModel):
         """
         if not documents:
             return np.zeros((0, self._n_dimensions))
-        matrix = self._vectorizer.transform(
-            [self._prepare(document) for document in documents]
-        )
-        if matrix.shape[1] < self._n_dimensions:
-            matrix = np.pad(
-                matrix, ((0, 0), (0, self._n_dimensions - matrix.shape[1]))
+        return self._pad(
+            self._vectorizer.transform(
+                [self._prepare(document) for document in documents]
             )
-        return matrix
+        )
 
     def dimension_labels(self) -> List[str]:
         labels = self._vectorizer.feature_names()
@@ -300,6 +319,13 @@ class LdaTopicModel(TopicModel):
         self._lda.fit(non_empty)
         self._fitted = True
         return self
+
+    def tag_counts(self, tags: Iterable[str]) -> None:
+        # Not a function of counts: Gibbs inference samples a topic per
+        # token in document order from a seeded chain, so a group's
+        # signature is only defined by its whole tag sequence.
+        # Incremental maintenance takes its rebuild path for LDA.
+        return None
 
     def vectorize(self, tags: Iterable[str]) -> np.ndarray:
         if not self._fitted:

@@ -401,3 +401,187 @@ class TestStoreMirroring:
         import numpy as np
 
         assert np.array_equal(warm.signatures, session.session.signatures)
+
+
+class TestIncrementalMatchesRebuild:
+    """Seeded insert interleavings over every signature backend.
+
+    After every step the maintained groups must equal a from-scratch
+    rebuild of their rows (``consistency_errors``: members, user/item
+    sets, tags, signature bytes), and at the end the session must answer
+    Table-1 problems 1 and 4 exactly like a cold session that replayed
+    the same rows one action at a time.
+    """
+
+    NEW_USER = {
+        "gender": "female",
+        "age": "45-49",
+        "occupation": "astronaut-candidate",
+        "location": "WY",
+    }
+    NEW_ITEM = {"genre": "western", "actor": "actor_unique", "director": "director_unique"}
+    MIN_SUPPORT = 3
+
+    @staticmethod
+    def corpus(backend: str) -> TaggingDataset:
+        # LDA fits and re-infers with a per-token Gibbs loop in Python (the
+        # oracle re-infers every group): a small corpus over three columns
+        # keeps its run to seconds.
+        n_actions = 40 if backend == "lda" else 300
+        return generate_movielens_style(n_users=20, n_items=40, n_actions=n_actions, seed=4)
+
+    def enumeration(self, backend: str, max_groups=None) -> GroupEnumerationConfig:
+        columns = (
+            ("user.gender", "user.occupation", "item.genre") if backend == "lda" else None
+        )
+        return GroupEnumerationConfig(
+            min_support=self.MIN_SUPPORT, columns=columns, max_groups=max_groups
+        )
+
+    def build(self, backend: str, max_groups=None) -> IncrementalTagDM:
+        return IncrementalTagDM(
+            self.corpus(backend),
+            enumeration=self.enumeration(backend, max_groups),
+            signature_backend=backend,
+            signature_dimensions=10,
+        ).prepare()
+
+    def steps(self, dataset: TaggingDataset, seed: int):
+        import random
+
+        rng = random.Random(seed)
+        tag_pool = sorted(
+            {tag for row in range(dataset.n_actions) for tag in dataset.tags_of(row)}
+        )
+
+        def existing():
+            row = rng.randrange(dataset.n_actions)
+            return {
+                "user_id": dataset.user_of(row),
+                "item_id": dataset.item_of(row),
+                "tags": rng.sample(tag_pool, 2) + [f"Fresh Tag {rng.randrange(4)}"],
+            }
+
+        def newcomer(index):
+            # A new user (and, first time, a new item) whose occupation
+            # no existing tuple has: its descriptions start pending and
+            # cross min_support on the third newcomer.
+            return {
+                "user_id": f"prop-user-{index}",
+                "item_id": "prop-item",
+                "tags": rng.sample(tag_pool, 2),
+                "user_attributes": self.NEW_USER,
+                "item_attributes": self.NEW_ITEM,
+            }
+
+        return [
+            ("insert", [existing()]),
+            ("insert", [existing(), existing(), existing()]),
+            ("insert", [newcomer(0)]),
+            ("insert", [newcomer(1), existing()]),
+            ("refresh", []),
+            ("insert", [newcomer(2)]),
+            ("restart", []),
+            ("insert", [existing(), existing(), existing()]),
+            ("insert", [existing()]),
+            ("insert", [newcomer(3), existing()]),
+        ]
+
+    @pytest.mark.parametrize("backend", ["frequency", "tfidf", "lda"])
+    def test_interleaved_inserts_match_rebuild_and_cold_replay(self, backend, tmp_path):
+        import numpy as np
+
+        from repro.core.enumeration import enumerate_groups
+        from repro.core.persistence import load_session
+
+        # One slot above the uncapped group count: exactly one pending
+        # description can become a group, the rest hit the cap.
+        uncapped = len(enumerate_groups(self.corpus(backend), self.enumeration(backend)))
+        session = self.build(backend, max_groups=uncapped + 1)
+        assert session.consistency_errors() == []
+        counted = backend != "lda"
+        steps = self.steps(session.dataset, seed=11)
+        created = 0
+        for kind, actions in steps:
+            if kind == "refresh":
+                session.refresh_topic_model()
+                assert session._tag_counts == {}
+            elif kind == "restart":
+                path = tmp_path / "restart.snapshot"
+                session.snapshot(path)
+                warm = load_session(path, session.dataset)
+                session = IncrementalTagDM.from_session(warm).prepare()
+                assert session._tag_counts == {}  # rebuilt lazily, not persisted
+            elif len(actions) == 1:
+                created += session.add_action(**actions[0]).groups_created
+                assert bool(session._tag_counts) == counted
+            else:
+                created += session.add_actions(actions).groups_created
+            assert session.consistency_errors() == [], kind
+        assert created == 1
+        assert session.n_groups == uncapped + 1
+        assert any(
+            len(rows) >= self.MIN_SUPPORT for rows in session._pending.values()
+        ), "the cap never held a description back"
+
+        cold = self.build(backend, max_groups=uncapped + 1)
+        for kind, actions in steps:
+            if kind == "refresh":
+                cold.refresh_topic_model()
+            for action in actions:
+                cold.add_action(**action)
+        assert [group.description for group in session.groups] == [
+            group.description for group in cold.groups
+        ]
+        assert np.array_equal(session.session.signatures, cold.session.signatures)
+        for problem_id in (1, 4):
+            problem = table1_problem(problem_id, k=3, min_support=cold.default_support())
+            warm_result = session.solve(problem)
+            cold_result = cold.solve(problem)
+            assert warm_result.descriptions() == cold_result.descriptions()
+            assert warm_result.objective_value == cold_result.objective_value
+
+
+class TestInsertCostShape:
+    """An insert's Python work follows the inserted row, not group sizes.
+
+    Counted, not timed: once the touched groups' tag counts are warm, a
+    single-action insert normalises exactly its own tags, at any corpus
+    size.  Rebuilding touched groups from their rows normalised every
+    tag of every touched group instead, a count that grows with N.
+    """
+
+    @pytest.mark.parametrize("backend", ["frequency", "tfidf"])
+    @pytest.mark.parametrize("n_actions", [300, 1200])
+    def test_single_insert_normalises_only_its_own_tags(
+        self, n_actions, backend, monkeypatch
+    ):
+        from repro.text import topics
+
+        dataset = generate_movielens_style(
+            n_users=40, n_items=80, n_actions=n_actions, seed=17
+        )
+        session = IncrementalTagDM(
+            dataset,
+            # The cap keeps group creation (which builds from rows) out
+            # of the measured insert.
+            enumeration=GroupEnumerationConfig(min_support=5, max_groups=60),
+            signature_backend=backend,
+        ).prepare()
+        # Warm the counts of every group the measured insert touches.
+        session.add_action(**action_for(dataset, row=0, tags=("warm", "up")))
+
+        normalised = []
+        original = topics.normalize_tags
+
+        def counting(tags):
+            tags = list(tags)
+            normalised.append(len(tags))
+            return original(tags)
+
+        monkeypatch.setattr(topics, "normalize_tags", counting)
+        report = session.add_action(
+            **action_for(dataset, row=0, tags=("alpha", "Beta", "gamma ray"))
+        )
+        assert report.groups_updated >= 2 and report.groups_created == 0
+        assert sum(normalised) == 3

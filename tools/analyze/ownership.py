@@ -200,6 +200,9 @@ OWNERSHIP_DECLS: Tuple[OwnershipDecl, ...] = (
             "session": "confined:writer",
             "_pending": "confined:writer",
             "_group_index": "confined:writer",
+            # Per-group tag-count vectors behind the O(delta) signature
+            # update: read and advanced only on the insert path.
+            "_tag_counts": "confined:writer",
             # Listener registration is construction-time wiring (the
             # shard registers its WAL hook before any writer starts).
             "_mutation_listeners": "confined:wiring",
@@ -208,6 +211,7 @@ OWNERSHIP_DECLS: Tuple[OwnershipDecl, ...] = (
         confined_writers={
             "writer": (
                 "_touch_group",
+                "_extend_group",
                 "_invalidate_derived_state",
                 "_insert_one",
                 "add_action",
